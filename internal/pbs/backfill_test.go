@@ -22,7 +22,7 @@ func (s *Server) scheduleGreedy() {
 		if !s.schedulable(j) {
 			continue
 		}
-		s.tryPlace(j)
+		s.core.TryStart(j.SeqNo - 1)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestEASYRejectsCandidatesThatWouldDelayTheHead(t *testing.T) {
 func TestGreedyBackfillReplicaStarvesWideJob(t *testing.T) {
 	eng, s := newTestServer(t, 2)
 	s.Backfill = true
-	s.schedOverride = s.scheduleGreedy
+	s.core.Override = func(func()) { s.scheduleGreedy() }
 	wide, narrows := starvationWorkload(eng, s)
 	eng.RunUntil(6 * time.Hour)
 

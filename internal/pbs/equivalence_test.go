@@ -3,7 +3,6 @@ package pbs
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
@@ -11,68 +10,44 @@ import (
 )
 
 // scratchRebuild throws away every piece of incremental scheduler
-// state and recomputes it from the ground truth (the job map and the
-// node table): the queued and running ledgers, the census counters,
-// the per-queue running counts, and the free-CPU segment tree. The
+// state and recomputes it from the ground truth: the core rebuilds its
+// queue and running ledgers, census, per-node grant counts and
+// free-CPU trees from the jobs' states and grants (failing the test if
+// any had drifted), and the server recomputes its per-queue running
+// counts and up-CPU census from the job and node tables. The
 // equivalence tests rebuild before every scheduling pass on one of two
 // twin servers; if the incremental state ever drifted from a
 // from-scratch recompute, the twins' placement decisions would
 // diverge.
-func scratchRebuild(s *Server) {
-	for _, j := range s.queued {
-		j.inQueue = false
+func scratchRebuild(t *testing.T, s *Server) {
+	t.Helper()
+	if err := s.core.Rebuild(); err != nil {
+		t.Fatal(err)
 	}
-	s.queued = s.queued[:0]
-	s.queuedDead, s.queuedHead = 0, 0
-	s.queuedN, s.queuedCPUs = 0, 0
-	s.running = s.running[:0]
 	for _, q := range s.queues {
 		q.running = 0
 	}
-	all := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		all = append(all, s.jobs[id])
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].SeqNo < all[j].SeqNo })
-	for _, j := range all {
-		switch j.State {
-		case StateQueued:
-			j.inQueue = true
-			s.queued = append(s.queued, j)
-			s.queuedN++
-			s.queuedCPUs += j.Nodes * j.PPN
-		case StateHeld:
-			j.inQueue = true
-			s.queued = append(s.queued, j)
-		case StateRunning:
-			j.runIdx = len(s.running)
-			s.running = append(s.running, j)
-			if q, ok := s.queues[j.Queue]; ok {
-				q.running++
-			}
+	for _, j := range s.list {
+		if q, ok := s.queues[j.Queue]; ok && j.State == StateRunning {
+			q.running++
 		}
 	}
-	s.cpusUp, s.nodesUp = 0, 0
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
+	s.cpusUp = 0
+	for _, n := range s.nodeList {
 		if n.state != NodeDown {
 			s.cpusUp += n.NP
 		}
-		if n.state != NodeDown && n.state != NodeOffline {
-			s.nodesUp++
-		}
 	}
-	s.rebuildFreeTree()
 }
 
 // assertLedgersMatchScratch cross-checks the incremental state against
-// a non-mutating recompute from the ground truth.
+// a non-mutating recompute from the ground truth, then against the
+// core's own rebuild.
 func assertLedgersMatchScratch(t *testing.T, s *Server) {
 	t.Helper()
 	wantQ, wantCPUs := 0, 0
 	wantRunning := map[string]bool{}
-	for _, id := range s.order {
-		j := s.jobs[id]
+	for _, j := range s.list {
 		switch j.State {
 		case StateQueued:
 			wantQ++
@@ -81,33 +56,44 @@ func assertLedgersMatchScratch(t *testing.T, s *Server) {
 			wantRunning[j.ID] = true
 		}
 	}
-	if s.queuedN != wantQ || s.queuedCPUs != wantCPUs {
+	if st := s.QueueStats(); st.Queued != wantQ || st.QueuedCPUs != wantCPUs {
 		t.Fatalf("queue census: got (%d jobs, %d cpus), scratch (%d, %d)",
-			s.queuedN, s.queuedCPUs, wantQ, wantCPUs)
+			st.Queued, st.QueuedCPUs, wantQ, wantCPUs)
 	}
-	if len(s.running) != len(wantRunning) {
-		t.Fatalf("running ledger has %d jobs, scratch %d", len(s.running), len(wantRunning))
+	running := s.RunningJobs()
+	if len(running) != len(wantRunning) {
+		t.Fatalf("running ledger has %d jobs, scratch %d", len(running), len(wantRunning))
 	}
-	for _, j := range s.running {
+	for _, j := range running {
 		if !wantRunning[j.ID] {
 			t.Fatalf("running ledger holds %s which is in state %v", j.ID, j.State)
 		}
 	}
 	cpus, nodes := 0, 0
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
+	for _, n := range s.nodeList {
+		up := n.state != NodeDown && n.state != NodeOffline
 		if n.state != NodeDown {
 			cpus += n.NP
 		}
-		if n.state != NodeDown && n.state != NodeOffline {
+		want := 0
+		if up {
 			nodes++
+			want = n.NP
+			for _, j := range n.busy {
+				if j != nil {
+					want--
+				}
+			}
 		}
-		if got := s.freeTree[s.treeCap+n.idx]; got != n.effFree() {
-			t.Fatalf("free tree leaf for %s = %d, node has %d", name, got, n.effFree())
+		if got := n.FreeCPUs(); got != want {
+			t.Fatalf("free tree leaf for %s = %d, node has %d", n.Name, got, want)
 		}
 	}
-	if s.cpusUp != cpus || s.nodesUp != nodes {
-		t.Fatalf("census: got (%d cpus, %d nodes), scratch (%d, %d)", s.cpusUp, s.nodesUp, cpus, nodes)
+	if s.cpusUp != cpus || s.AvailableNodes() != nodes {
+		t.Fatalf("census: got (%d cpus, %d nodes), scratch (%d, %d)", s.cpusUp, s.AvailableNodes(), cpus, nodes)
+	}
+	if err := s.core.Rebuild(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -122,9 +108,10 @@ type pbsAction struct {
 }
 
 // pbsScript generates a deterministic randomized workload: mixed-width
-// jobs, holds and releases, deletions, and node outages (which requeue
-// rerunnable jobs and exercise the revival paths of the queue ledger).
-func pbsScript(seed int64, nodes, jobs int) []pbsAction {
+// jobs of 1..maxPPN CPUs per node, holds and releases, deletions, and
+// node outages (which requeue rerunnable jobs and exercise the revival
+// paths of the queue ledger).
+func pbsScript(seed int64, nodes, jobs, maxPPN int) []pbsAction {
 	rng := rand.New(rand.NewSource(seed))
 	var script []pbsAction
 	for i := 0; i < jobs; i++ {
@@ -133,7 +120,7 @@ func pbsScript(seed int64, nodes, jobs int) []pbsAction {
 			Name:    fmt.Sprintf("job%03d", i),
 			Owner:   "eq",
 			Nodes:   1 + rng.Intn(3),
-			PPN:     1 + rng.Intn(4),
+			PPN:     1 + rng.Intn(maxPPN),
 			Runtime: time.Duration(rng.Int63n(int64(2*time.Hour))) + 5*time.Minute,
 			Rerun:   rng.Intn(4) != 0,
 		}
@@ -159,26 +146,22 @@ func pbsScript(seed int64, nodes, jobs int) []pbsAction {
 	return script
 }
 
-// runPBSScript drives one server through the script. When rebuild is
-// set, every scheduling pass is preceded by a from-scratch state
-// recompute.
-func runPBSScript(t *testing.T, script []pbsAction, nodes int, backfill, rebuild bool) *Server {
+// runPBSScript drives one server, whose node i has sizes[i] CPUs,
+// through the script. When rebuild is set, every scheduling pass is
+// preceded by a from-scratch state recompute.
+func runPBSScript(t *testing.T, script []pbsAction, sizes []int, backfill, rebuild bool) *Server {
 	t.Helper()
 	eng := simtime.NewEngine()
 	s := NewServer(eng, "eq.test")
 	s.Backfill = backfill
 	if rebuild {
-		var wrap func()
-		wrap = func() {
-			scratchRebuild(s)
-			s.schedOverride = nil
-			s.schedule()
-			s.schedOverride = wrap
+		s.core.Override = func(pass func()) {
+			scratchRebuild(t, s)
+			pass()
 		}
-		s.schedOverride = wrap
 	}
-	for i := 1; i <= nodes; i++ {
-		if _, err := s.AddNode(fmt.Sprintf("eqnode%02d", i), 4, true); err != nil {
+	for i, np := range sizes {
+		if _, err := s.AddNode(fmt.Sprintf("eqnode%02d", i+1), np, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,31 +203,49 @@ func runPBSScript(t *testing.T, script []pbsAction, nodes int, backfill, rebuild
 // randomized workload on twin servers — one scheduling off its
 // incremental ledgers and free-slot profile, one rebuilding all of it
 // from scratch before every pass — and requires byte-identical
-// outcomes: same start times, same placements, same final states.
+// outcomes: same start times, same placements, same final states. The
+// mixed cases use a 2/4/8-CPU node table and up to 8 CPUs per node, so
+// the per-node fit is checked where node sizes differ.
 func TestPBSIncrementalMatchesScratchRecompute(t *testing.T) {
-	for _, backfill := range []bool{false, true} {
-		name := "fcfs"
-		if backfill {
-			name = "backfill"
+	uniform := make([]int, 12)
+	mixed := make([]int, 12)
+	for i := range uniform {
+		uniform[i] = 4
+		mixed[i] = []int{2, 4, 8}[i%3]
+	}
+	for _, tc := range []struct {
+		name   string
+		seed   int64
+		sizes  []int
+		maxPPN int
+	}{
+		{"", 421, uniform, 4},
+		{"mixed_", 977, mixed, 8},
+	} {
+		for _, backfill := range []bool{false, true} {
+			name := tc.name + "fcfs"
+			if backfill {
+				name = tc.name + "backfill"
+			}
+			t.Run(name, func(t *testing.T) {
+				script := pbsScript(tc.seed, len(tc.sizes), 120, tc.maxPPN)
+				inc := runPBSScript(t, script, tc.sizes, backfill, false)
+				ref := runPBSScript(t, script, tc.sizes, backfill, true)
+				assertLedgersMatchScratch(t, inc)
+				if len(inc.list) != len(ref.list) {
+					t.Fatalf("job counts diverged: %d vs %d", len(inc.list), len(ref.list))
+				}
+				for i, a := range inc.list {
+					b := ref.list[i]
+					if a.State != b.State || a.StartTime != b.StartTime || a.EndTime != b.EndTime {
+						t.Fatalf("job %s diverged: incremental (%v start=%v end=%v) vs scratch (%v start=%v end=%v)",
+							a.ID, a.State, a.StartTime, a.EndTime, b.State, b.StartTime, b.EndTime)
+					}
+					if fmt.Sprint(a.ExecHost) != fmt.Sprint(b.ExecHost) {
+						t.Fatalf("job %s placement diverged:\n%v\nvs\n%v", a.ID, a.ExecHost, b.ExecHost)
+					}
+				}
+			})
 		}
-		t.Run(name, func(t *testing.T) {
-			script := pbsScript(421, 12, 120)
-			inc := runPBSScript(t, script, 12, backfill, false)
-			ref := runPBSScript(t, script, 12, backfill, true)
-			assertLedgersMatchScratch(t, inc)
-			if len(inc.order) != len(ref.order) {
-				t.Fatalf("job counts diverged: %d vs %d", len(inc.order), len(ref.order))
-			}
-			for _, id := range inc.order {
-				a, b := inc.jobs[id], ref.jobs[id]
-				if a.State != b.State || a.StartTime != b.StartTime || a.EndTime != b.EndTime {
-					t.Fatalf("job %s diverged: incremental (%v start=%v end=%v) vs scratch (%v start=%v end=%v)",
-						id, a.State, a.StartTime, a.EndTime, b.State, b.StartTime, b.EndTime)
-				}
-				if fmt.Sprint(a.ExecHost) != fmt.Sprint(b.ExecHost) {
-					t.Fatalf("job %s placement diverged:\n%v\nvs\n%v", id, a.ExecHost, b.ExecHost)
-				}
-			}
-		})
 	}
 }

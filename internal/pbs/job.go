@@ -75,19 +75,13 @@ type Job struct {
 
 	killedAtLimit bool
 	failed        bool
-
-	// Scheduler ledger bookkeeping: inQueue flags an entry in the
-	// server's queued slice (states Q and H, plus stale entries waiting
-	// for compaction); runIdx is the job's slot in the running slice
-	// while in state R.
-	inQueue bool
-	runIdx  int
 }
 
 // CPUs returns the total virtual processors the job needs.
 func (j *Job) CPUs() int { return j.Nodes * j.PPN }
 
-// KilledAtWalltime reports whether the job hit its walltime limit.
+// KilledAtWalltime reports whether the server killed the job: at its
+// walltime limit, or by qdel.
 func (j *Job) KilledAtWalltime() bool { return j.killedAtLimit }
 
 // Failed reports whether the job died without completing its work —

@@ -83,7 +83,7 @@ func (s *Server) SetQueueStarted(name string, started bool) error {
 	}
 	q.started = started
 	if started {
-		s.kick()
+		s.core.Kick()
 	}
 	return nil
 }

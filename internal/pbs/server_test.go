@@ -195,13 +195,31 @@ func TestWalltimeKill(t *testing.T) {
 func TestQdelQueuedAndRunning(t *testing.T) {
 	eng, s := newTestServer(t, 1)
 	run, _ := s.Qsub(SubmitRequest{Name: "r", Nodes: 1, PPN: 4, Runtime: time.Hour})
-	wait, _ := s.Qsub(SubmitRequest{Name: "w", Nodes: 1, PPN: 4, Runtime: time.Hour})
+	ended := 0
+	wait, _ := s.Qsub(SubmitRequest{Name: "w", Nodes: 1, PPN: 4, Runtime: time.Hour,
+		OnEnd: func(*Job) { ended++ }})
+	s.OnJobEnd = func(j *Job) {
+		if j == wait {
+			ended++
+		}
+	}
 	eng.RunUntil(time.Minute)
 	if err := s.Qdel(wait.ID); err != nil {
 		t.Fatal(err)
 	}
 	if wait.State != StateComplete {
 		t.Fatalf("queued qdel state = %v", wait.State)
+	}
+	// A deleted queued job ends like a cancelled one: both end hooks
+	// fire, and it does not report a clean completion.
+	if ended != 2 {
+		t.Fatalf("queued qdel fired %d end hooks, want OnJobEnd and Job.OnEnd", ended)
+	}
+	if !wait.KilledAtWalltime() && !wait.Failed() {
+		t.Fatal("queued qdel reports a clean completion")
+	}
+	if st := s.QueueStats(); st.Queued != 0 || st.QueuedCPUs != 0 {
+		t.Fatalf("queue census after qdel = %+v", st)
 	}
 	if err := s.Qdel(run.ID); err != nil {
 		t.Fatal(err)

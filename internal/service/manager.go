@@ -386,8 +386,10 @@ func (m *manager) finish(job *Job, cached bool) {
 		m.fail(job, err)
 		return
 	}
-	m.bc.emit(Event{Type: "done", Job: job.ID, Done: total, Total: total, Cached: cached})
+	// Finish every side effect before announcing: a client woken by
+	// "done" must find the transition complete, checkpoints cleared.
 	m.st.clearCheckpoints(job.SpecHash)
+	m.bc.emit(Event{Type: "done", Job: job.ID, Done: total, Total: total, Cached: cached})
 }
 
 func (m *manager) fail(job *Job, ferr error) {

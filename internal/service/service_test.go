@@ -202,14 +202,14 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		return resp
 	}
 	for name, body := range map[string]string{
-		"not json":       "{",
-		"no version":     `{"grid":{"modes":"hybrid-v1"}}`,
-		"unknown axis":   `{"spec_version":1,"grid":{"modes":"hybrid-v1","flux":"3"}}`,
-		"absolute swf":   `{"spec_version":1,"grid":{"traces":"swf:/etc/passwd","winfracs":"0.3"}}`,
-		"traversal swf":  `{"spec_version":1,"grid":{"traces":"swf:../../etc/passwd","winfracs":"0.3"}}`,
+		"not json":      "{",
+		"no version":    `{"grid":{"modes":"hybrid-v1"}}`,
+		"unknown axis":  `{"spec_version":1,"grid":{"modes":"hybrid-v1","flux":"3"}}`,
+		"absolute swf":  `{"spec_version":1,"grid":{"traces":"swf:/etc/passwd","winfracs":"0.3"}}`,
+		"traversal swf": `{"spec_version":1,"grid":{"traces":"swf:../../etc/passwd","winfracs":"0.3"}}`,
 		// Relative, no "..", but resolveTracePath's ancestor walk would
 		// find the real /etc/passwd — the root confinement must not.
-		"ancestor swf": `{"spec_version":1,"grid":{"traces":"swf:etc/passwd","winfracs":"0.3"}}`,
+		"ancestor swf":   `{"spec_version":1,"grid":{"traces":"swf:etc/passwd","winfracs":"0.3"}}`,
 		"oversized body": `{"spec_version":1,"name":"` + strings.Repeat("x", maxSpecBytes) + `"}`,
 	} {
 		resp := post(body)

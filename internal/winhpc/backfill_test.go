@@ -18,7 +18,7 @@ import (
 // blocked head.
 func (s *Scheduler) scheduleGreedy() {
 	for _, j := range s.QueuedJobs() {
-		s.tryPlace(j)
+		s.core.TryStart(j.ID - 1)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestEASYBackfillBoundsCoreJobWait(t *testing.T) {
 func TestGreedyBackfillReplicaStarvesNodeJob(t *testing.T) {
 	eng, s := newTestScheduler(t, 2)
 	s.Backfill = true
-	s.schedOverride = s.scheduleGreedy
+	s.core.Override = func(func()) { s.scheduleGreedy() }
 	wide, narrows := starvationWorkload(eng, s)
 	eng.RunUntil(6 * time.Hour)
 

@@ -3,7 +3,6 @@ package winhpc
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
@@ -11,60 +10,26 @@ import (
 )
 
 // scratchRebuild throws away every piece of incremental scheduler
-// state and recomputes it from the ground truth (the job map and the
-// node table): the queued and running ledgers, the pending-demand and
-// node census counters, and both segment trees. The equivalence test
-// rebuilds before every scheduling pass on one of two twin schedulers;
-// if the incremental state ever drifted from a from-scratch recompute,
-// the twins' placement decisions would diverge.
-func scratchRebuild(s *Scheduler) {
-	for _, j := range s.queued {
-		j.inQueue = false
-	}
-	s.queued = s.queued[:0]
-	s.queuedDead, s.queuedHead, s.queuedN = 0, 0, 0
-	s.queuedCores, s.queuedNodeUnits = 0, 0
-	s.running = s.running[:0]
-	queued := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		j := s.jobs[id]
-		switch j.State {
-		case JobQueued:
-			queued = append(queued, j)
-		case JobRunning:
-			j.runIdx = len(s.running)
-			s.running = append(s.running, j)
-		}
-	}
-	sort.Slice(queued, func(i, k int) bool { return queueLess(queued[i], queued[k]) })
-	for _, j := range queued {
-		j.inQueue = true
-		s.queued = append(s.queued, j)
-		s.queuedN++
-		if j.Unit == UnitNode {
-			s.queuedNodeUnits += j.Count
-		} else {
-			s.queuedCores += j.Count
-		}
+// state and recomputes it from the ground truth: the core rebuilds its
+// queue and running ledgers, census, per-node grant counts and both
+// node trees from the jobs' states and grants (failing the test if any
+// had drifted), and the scheduler recomputes its node census from the
+// node table. The equivalence test rebuilds before every scheduling
+// pass on one of two twin schedulers; if the incremental state ever
+// drifted from a from-scratch recompute, the twins' placement
+// decisions would diverge.
+func scratchRebuild(t *testing.T, s *Scheduler) {
+	t.Helper()
+	if err := s.core.Rebuild(); err != nil {
+		t.Fatal(err)
 	}
 	s.allCores, s.coresUp = 0, 0
-	s.onlineNodes, s.onlineCores, s.freeCores, s.idleNodes = 0, 0, 0, 0
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
+	for _, n := range s.nodeList {
 		s.allCores += n.Cores
 		if n.state != NodeUnreachable {
 			s.coresUp += n.Cores
 		}
-		if n.state == NodeOnline {
-			s.onlineNodes++
-			s.onlineCores += n.Cores
-			s.freeCores += n.Cores - n.used
-			if n.used == 0 {
-				s.idleNodes++
-			}
-		}
 	}
-	s.rebuildTrees()
 }
 
 // winAction is one scripted step; the same script drives both twins.
@@ -79,8 +44,9 @@ type winAction struct {
 // winScript generates a deterministic randomized workload: core- and
 // node-unit jobs across all priority levels, cancellations, and node
 // outages (which requeue rerunnable jobs through the priority-ordered
-// revival path of the queue ledger).
-func winScript(seed int64, nodes, jobs int) []winAction {
+// revival path of the queue ledger). Core-unit jobs ask for
+// 1..maxCores cores.
+func winScript(seed int64, nodes, jobs, maxCores int) []winAction {
 	rng := rand.New(rand.NewSource(seed))
 	var script []winAction
 	for i := 0; i < jobs; i++ {
@@ -97,7 +63,7 @@ func winScript(seed int64, nodes, jobs int) []winAction {
 			spec.Count = 1 + rng.Intn(2)
 		} else {
 			spec.Unit = UnitCore
-			spec.Count = 1 + rng.Intn(8)
+			spec.Count = 1 + rng.Intn(maxCores)
 		}
 		script = append(script, winAction{at: at, kind: 0, job: i, spec: spec})
 		if rng.Intn(10) == 0 {
@@ -113,26 +79,22 @@ func winScript(seed int64, nodes, jobs int) []winAction {
 	return script
 }
 
-// runWinScript drives one scheduler through the script. When rebuild
-// is set, every scheduling pass is preceded by a from-scratch state
-// recompute.
-func runWinScript(t *testing.T, script []winAction, nodes int, backfill, rebuild bool) *Scheduler {
+// runWinScript drives one scheduler, whose node i has sizes[i] cores,
+// through the script. When rebuild is set, every scheduling pass is
+// preceded by a from-scratch state recompute.
+func runWinScript(t *testing.T, script []winAction, sizes []int, backfill, rebuild bool) *Scheduler {
 	t.Helper()
 	eng := simtime.NewEngine()
 	s := NewScheduler(eng, "EQHEAD")
 	s.Backfill = backfill
 	if rebuild {
-		var wrap func()
-		wrap = func() {
-			scratchRebuild(s)
-			s.schedOverride = nil
-			s.schedule()
-			s.schedOverride = wrap
+		s.core.Override = func(pass func()) {
+			scratchRebuild(t, s)
+			pass()
 		}
-		s.schedOverride = wrap
 	}
-	for i := 1; i <= nodes; i++ {
-		if _, err := s.AddNode(fmt.Sprintf("eqwin%02d", i), 4, true); err != nil {
+	for i, cores := range sizes {
+		if _, err := s.AddNode(fmt.Sprintf("eqwin%02d", i+1), cores, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,30 +127,52 @@ func runWinScript(t *testing.T, script []winAction, nodes int, backfill, rebuild
 // randomized workload on twin schedulers — one scheduling off its
 // incremental ledgers and free-core profile, one rebuilding all of it
 // from scratch before every pass — and requires identical outcomes:
-// same start times, same allocations, same final states.
+// same start times, same allocations, same final states. The mixed
+// cases use a 2/4/8-core node table and core jobs of up to 16 cores,
+// so whole-node and cores-anywhere fits are checked where node sizes
+// differ.
 func TestWinHPCIncrementalMatchesScratchRecompute(t *testing.T) {
-	for _, backfill := range []bool{false, true} {
-		name := "fcfs"
-		if backfill {
-			name = "backfill"
+	uniform := make([]int, 12)
+	mixed := make([]int, 12)
+	for i := range uniform {
+		uniform[i] = 4
+		mixed[i] = []int{2, 4, 8}[i%3]
+	}
+	for _, tc := range []struct {
+		name     string
+		seed     int64
+		sizes    []int
+		maxCores int
+	}{
+		{"", 733, uniform, 8},
+		{"mixed_", 1187, mixed, 16},
+	} {
+		for _, backfill := range []bool{false, true} {
+			name := tc.name + "fcfs"
+			if backfill {
+				name = tc.name + "backfill"
+			}
+			t.Run(name, func(t *testing.T) {
+				script := winScript(tc.seed, len(tc.sizes), 120, tc.maxCores)
+				inc := runWinScript(t, script, tc.sizes, backfill, false)
+				ref := runWinScript(t, script, tc.sizes, backfill, true)
+				if err := inc.core.Rebuild(); err != nil {
+					t.Fatal(err)
+				}
+				if len(inc.jobs) != len(ref.jobs) {
+					t.Fatalf("job counts diverged: %d vs %d", len(inc.jobs), len(ref.jobs))
+				}
+				for i, a := range inc.jobs {
+					b := ref.jobs[i]
+					if a.State != b.State || a.StartTime != b.StartTime || a.EndTime != b.EndTime {
+						t.Fatalf("job %d diverged: incremental (%v start=%v end=%v) vs scratch (%v start=%v end=%v)",
+							a.ID, a.State, a.StartTime, a.EndTime, b.State, b.StartTime, b.EndTime)
+					}
+					if fmt.Sprint(a.Alloc) != fmt.Sprint(b.Alloc) {
+						t.Fatalf("job %d allocation diverged:\n%v\nvs\n%v", a.ID, a.Alloc, b.Alloc)
+					}
+				}
+			})
 		}
-		t.Run(name, func(t *testing.T) {
-			script := winScript(733, 12, 120)
-			inc := runWinScript(t, script, 12, backfill, false)
-			ref := runWinScript(t, script, 12, backfill, true)
-			if len(inc.order) != len(ref.order) {
-				t.Fatalf("job counts diverged: %d vs %d", len(inc.order), len(ref.order))
-			}
-			for _, id := range inc.order {
-				a, b := inc.jobs[id], ref.jobs[id]
-				if a.State != b.State || a.StartTime != b.StartTime || a.EndTime != b.EndTime {
-					t.Fatalf("job %d diverged: incremental (%v start=%v end=%v) vs scratch (%v start=%v end=%v)",
-						id, a.State, a.StartTime, a.EndTime, b.State, b.StartTime, b.EndTime)
-				}
-				if fmt.Sprint(a.Alloc) != fmt.Sprint(b.Alloc) {
-					t.Fatalf("job %d allocation diverged:\n%v\nvs\n%v", id, a.Alloc, b.Alloc)
-				}
-			}
-		})
 	}
 }

@@ -13,9 +13,11 @@ package winhpc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/simtime"
 )
 
@@ -98,13 +100,6 @@ type Job struct {
 	// fires at completion, failure or cancellation.
 	Exec  func(nodes []string)
 	OnEnd func(*Job)
-
-	// Scheduler ledger bookkeeping: inQueue flags an entry in the
-	// scheduler's queued slice (kept in scheduling order — Priority is
-	// fixed at submission, so the position never goes stale); runIdx is
-	// the slot in the running slice while the job executes.
-	inQueue bool
-	runIdx  int
 }
 
 // Cores returns the total cores the job occupies once allocated, or
@@ -157,23 +152,18 @@ type Node struct {
 	Cores    int
 	Template string
 	state    NodeState
-	used     int
-	idx      int // position in Scheduler.nodeOrder
+	idx      int // index in the scheduling core
+	core     *sched.Core
 }
 
 // State returns the node state.
 func (n *Node) State() NodeState { return n.state }
 
 // FreeCores returns schedulable cores (0 unless online).
-func (n *Node) FreeCores() int {
-	if n.state != NodeOnline {
-		return 0
-	}
-	return n.Cores - n.used
-}
+func (n *Node) FreeCores() int { return n.core.Free(n.idx) }
 
 // UsedCores returns cores currently allocated.
-func (n *Node) UsedCores() int { return n.used }
+func (n *Node) UsedCores() int { return n.core.Used(n.idx) }
 
 // Priority follows the HPC Pack five-level job priority.
 type Priority int8
@@ -219,58 +209,24 @@ type JobSpec struct {
 
 // Scheduler is the head-node scheduler service.
 //
-// Scheduler state is incremental: live queued/running ledgers, indexed
-// free-core profiles over the node table, and O(1) census counters
-// replace the full job-history rescans the original implementation did
-// on every kick and every Snapshot poll.
+// Scheduling runs on the shared core (internal/sched), which keeps the
+// queued and running ledgers, the free-core profiles and the census
+// incrementally; the scheduler adds HPC Pack's priority order, resource
+// units, node states and cancellation, so neither a kick nor a
+// Snapshot poll rescans the job history.
 type Scheduler struct {
 	eng     *simtime.Engine
 	cluster string
 
-	seq       int
-	jobs      map[int]*Job
-	order     []int
-	nodes     map[string]*Node
-	nodeOrder []string
-
-	// queued holds waiting jobs in scheduling order — priority
-	// descending, submission order within a level. Entries whose job
-	// has moved on are dead weight until compactQueue sweeps them;
-	// Job.inQueue flags membership so a requeue revives its stale
-	// entry instead of duplicating it.
-	queued     []*Job
-	queuedDead int
-	queuedHead int // index of the first possibly-live entry in queued
-	queuedN    int
-	// queuedCores / queuedNodeUnits split pending demand by resource
-	// unit, so Snapshot's PendingCores is arithmetic instead of a scan.
-	queuedCores     int
-	queuedNodeUnits int
-
-	// running holds executing jobs in start order; removal swaps the
-	// tail into the vacated slot via Job.runIdx.
-	running []*Job
+	core     *sched.Core
+	jobs     []*Job // by core handle: submission order, ID-1
+	nodes    map[string]*Node
+	nodeList []*Node // by core node index: registration order
 
 	// Census counters maintained on node mutations.
-	allCores    int // every configured node, any state (submission cap)
-	coresUp     int // nodes not unreachable (TotalCores)
-	onlineNodes int
-	onlineCores int // capacity of online nodes
-	freeCores   int // free cores on online nodes
-	idleNodes   int // online nodes with no allocation at all
-	cpn         int // cached typicalCores()
-
-	// freeTree / idleTree are max segment trees over node indices:
-	// free cores per node, and a wholly-free flag. chooseAlloc jumps
-	// straight to the next usable node instead of scanning the table.
-	freeTree []int
-	idleTree []int
-	treeCap  int
-
-	// Scratch buffers reused across scheduling passes.
-	allocBuf []Allocation
-	rsvFree  []int
-	rsvRun   []*Job
+	allCores int // every configured node, any state (submission cap)
+	coresUp  int // nodes not unreachable (TotalCores)
+	cpn      int // cached typicalCores()
 
 	// coresHist counts configured nodes by core count, for the cached
 	// typicalCores recompute on AddNode.
@@ -290,23 +246,19 @@ type Scheduler struct {
 	OnJobStart   func(*Job)
 	OnJobEnd     func(*Job)
 	OnJobRequeue func(*Job)
-
-	schedPending bool
-	// schedOverride replaces the scheduling pass; tests use it to run
-	// a replica of historical policies against the same scheduler.
-	schedOverride func()
 }
 
 // NewScheduler creates the scheduler for a named cluster.
 func NewScheduler(eng *simtime.Engine, cluster string) *Scheduler {
-	return &Scheduler{
+	s := &Scheduler{
 		eng:       eng,
 		cluster:   cluster,
-		jobs:      make(map[int]*Job),
 		nodes:     make(map[string]*Node),
 		coresHist: make(map[int]int),
 		cpn:       4,
 	}
+	s.core = sched.New(eng, &s.Backfill, nil, s.started)
+	return s
 }
 
 // ClusterName returns the head node name.
@@ -321,87 +273,36 @@ func (s *Scheduler) AddNode(name string, cores int, online bool) (*Node, error) 
 	if cores <= 0 {
 		return nil, fmt.Errorf("winhpc: node %s: bad core count %d", name, cores)
 	}
-	n := &Node{Name: name, Cores: cores, Template: "Default ComputeNode Template", idx: len(s.nodeOrder)}
+	n := &Node{Name: name, Cores: cores, Template: "Default ComputeNode Template", core: s.core}
 	if !online {
 		n.state = NodeUnreachable
-	}
-	s.nodes[name] = n
-	s.nodeOrder = append(s.nodeOrder, name)
-	s.allCores += cores
-	if n.state != NodeUnreachable {
+	} else {
 		s.coresUp += cores
 	}
-	if n.state == NodeOnline {
-		s.onlineNodes++
-		s.onlineCores += cores
-		s.freeCores += cores
-		s.idleNodes++
-	}
+	n.idx = s.core.AddNode(cores, online)
+	s.nodes[name] = n
+	s.nodeList = append(s.nodeList, n)
+	s.allCores += cores
 	s.coresHist[cores]++
 	s.recomputeTypicalCores()
-	s.refreshNode(n)
 	if online {
-		s.kick()
+		s.core.Kick()
 	}
 	return n, nil
 }
 
-// setNodeState applies a state change and keeps every census counter
-// and both node indexes consistent.
+// setNodeState applies a state change and keeps the up-core counter
+// and the core's availability consistent.
 func (s *Scheduler) setNodeState(n *Node, st NodeState) {
-	old := n.state
-	if old == st {
-		return
-	}
-	if (old == NodeUnreachable) != (st == NodeUnreachable) {
+	if (n.state == NodeUnreachable) != (st == NodeUnreachable) {
 		if st == NodeUnreachable {
 			s.coresUp -= n.Cores
 		} else {
 			s.coresUp += n.Cores
 		}
 	}
-	if old == NodeOnline {
-		s.onlineNodes--
-		s.onlineCores -= n.Cores
-		s.freeCores -= n.Cores - n.used
-		if n.used == 0 {
-			s.idleNodes--
-		}
-	}
-	if st == NodeOnline {
-		s.onlineNodes++
-		s.onlineCores += n.Cores
-		s.freeCores += n.Cores - n.used
-		if n.used == 0 {
-			s.idleNodes++
-		}
-	}
 	n.state = st
-	s.refreshNode(n)
-}
-
-// addUsed adjusts a node's allocated-core count (clamped at zero, as
-// release always was) and maintains the free-core counters and
-// indexes.
-func (s *Scheduler) addUsed(n *Node, d int) {
-	old := n.used
-	nu := old + d
-	if nu < 0 {
-		nu = 0
-	}
-	if nu == old {
-		return
-	}
-	n.used = nu
-	if n.state == NodeOnline {
-		s.freeCores += old - nu
-		if old == 0 {
-			s.idleNodes--
-		} else if nu == 0 {
-			s.idleNodes++
-		}
-	}
-	s.refreshNode(n)
+	s.core.SetUp(n.idx, st == NodeOnline)
 }
 
 // Node returns a node by name.
@@ -414,13 +315,7 @@ func (s *Scheduler) Node(name string) (*Node, error) {
 }
 
 // Nodes lists nodes in registration order.
-func (s *Scheduler) Nodes() []*Node {
-	out := make([]*Node, len(s.nodeOrder))
-	for i, name := range s.nodeOrder {
-		out[i] = s.nodes[name]
-	}
-	return out
-}
+func (s *Scheduler) Nodes() []*Node { return append(make([]*Node, 0, len(s.nodeList)), s.nodeList...) }
 
 // SetNodeOnline flips a node between Online and Unreachable (the state
 // a node shows when it has rebooted into Linux). Running jobs lose
@@ -432,40 +327,35 @@ func (s *Scheduler) SetNodeOnline(name string, online bool) error {
 	}
 	if online {
 		s.setNodeState(n, NodeOnline)
-		s.kick()
+		s.core.Kick()
 		return nil
 	}
 	s.setNodeState(n, NodeUnreachable)
-	// Scan the live running ledger, not the whole job history; process
-	// victims in submission order so requeue/end hooks fire in the
-	// order the old history scan produced.
+	// Collect victims from the live running ledger, in submission
+	// order, before mutating anything.
 	var victims []*Job
-	for _, j := range s.running {
-		for _, a := range j.Alloc {
-			if a.Node == name {
-				victims = append(victims, j)
+	for _, h := range s.core.Running() {
+		for _, g := range s.core.Grants(h) {
+			if g.Node == n.idx {
+				victims = append(victims, s.jobs[h])
 				break
 			}
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
 	for _, j := range victims {
-		s.release(j)
-		s.noteStopped(j)
 		if j.Rerunnable {
+			s.core.Requeue(j.ID - 1)
 			j.State = JobQueued
 			j.Alloc = nil
-			s.noteQueued(j)
 			if s.OnJobRequeue != nil {
 				s.OnJobRequeue(j)
 			}
 		} else {
-			j.State = JobFailed
-			j.EndTime = s.eng.Now()
-			s.notifyEnd(j)
+			s.core.Stop(j.ID - 1)
+			s.ended(j, JobFailed)
 		}
 	}
-	s.kick()
+	s.core.Kick()
 	return nil
 }
 
@@ -480,7 +370,7 @@ func (s *Scheduler) SetNodeOffline(name string, offline bool) error {
 		s.setNodeState(n, NodeOffline)
 	} else {
 		s.setNodeState(n, NodeOnline)
-		s.kick()
+		s.core.Kick()
 	}
 	return nil
 }
@@ -502,19 +392,20 @@ func (s *Scheduler) SubmitJob(spec JobSpec) (*Job, error) {
 	if spec.Runtime < 0 {
 		return nil, fmt.Errorf("winhpc: negative runtime")
 	}
+	d := sched.Demand{Cores: spec.Count}
 	switch spec.Unit {
 	case UnitNode:
 		if spec.Count > len(s.nodes) {
 			return nil, fmt.Errorf("winhpc: job needs %d nodes, cluster has %d", spec.Count, len(s.nodes))
 		}
+		d = sched.Demand{Nodes: spec.Count}
 	default:
 		if spec.Count > s.allCores {
 			return nil, fmt.Errorf("winhpc: job needs %d cores, cluster has %d", spec.Count, s.allCores)
 		}
 	}
-	s.seq++
 	j := &Job{
-		ID:         s.seq,
+		ID:         len(s.jobs) + 1,
 		Name:       spec.Name,
 		Owner:      spec.Owner,
 		Template:   spec.Template,
@@ -528,32 +419,28 @@ func (s *Scheduler) SubmitJob(spec JobSpec) (*Job, error) {
 		Exec:       spec.Exec,
 		OnEnd:      spec.OnEnd,
 	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	s.noteQueued(j)
-	s.kick()
+	s.jobs = append(s.jobs, j)
+	// The HPC job model carries no separate walltime estimate, so the
+	// runtime bounds how long a start holds its cores.
+	s.core.Submit(queueKey(j), j.Runtime, d)
+	s.core.Kick()
 	return j, nil
 }
 
 // CancelJob cancels a queued or running job.
 func (s *Scheduler) CancelJob(id int) error {
-	j, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("winhpc: unknown job %d", id)
+	j, err := s.Job(id)
+	if err != nil {
+		return err
 	}
 	switch j.State {
 	case JobQueued:
-		j.State = JobCanceled
-		j.EndTime = s.eng.Now()
-		s.noteDequeued(j)
-		s.notifyEnd(j)
+		s.core.Dequeue(id - 1)
+		s.ended(j, JobCanceled)
 	case JobRunning:
-		s.release(j)
-		s.noteStopped(j)
-		j.State = JobCanceled
-		j.EndTime = s.eng.Now()
-		s.notifyEnd(j)
-		s.kick()
+		s.core.Stop(id - 1)
+		s.ended(j, JobCanceled)
+		s.core.Kick()
 	default:
 		return fmt.Errorf("winhpc: job %d already %s", id, j.State)
 	}
@@ -562,167 +449,41 @@ func (s *Scheduler) CancelJob(id int) error {
 
 // Job returns a job by ID.
 func (s *Scheduler) Job(id int) (*Job, error) {
-	j, ok := s.jobs[id]
-	if !ok {
+	if id < 1 || id > len(s.jobs) {
 		return nil, fmt.Errorf("winhpc: unknown job %d", id)
 	}
-	return j, nil
+	return s.jobs[id-1], nil
 }
 
 // Jobs returns all jobs in submission order.
-func (s *Scheduler) Jobs() []*Job {
-	out := make([]*Job, len(s.order))
-	for i, id := range s.order {
-		out[i] = s.jobs[id]
+func (s *Scheduler) Jobs() []*Job { return append(make([]*Job, 0, len(s.jobs)), s.jobs...) }
+
+// queueKey orders the queue ledger: priority descending (the HPC Pack
+// "Queued" policy), submission order within a level.
+func queueKey(j *Job) int64 { return -int64(j.Priority)<<32 + int64(j.ID) }
+
+// byHandle maps core handles to jobs.
+func (s *Scheduler) byHandle(hs []int) []*Job {
+	out := make([]*Job, len(hs))
+	for i, h := range hs {
+		out[i] = s.jobs[h]
 	}
 	return out
-}
-
-// queueLess orders the queued ledger: priority descending (the HPC
-// Pack "Queued" policy), submission order within a level.
-func queueLess(a, b *Job) bool {
-	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
-	}
-	return a.ID < b.ID
-}
-
-// noteQueued inserts a job into the queued ledger at its scheduling
-// position (or revives its stale entry after a requeue) and adjusts
-// the pending-demand counters.
-func (s *Scheduler) noteQueued(j *Job) {
-	s.queuedN++
-	if j.Unit == UnitNode {
-		s.queuedNodeUnits += j.Count
-	} else {
-		s.queuedCores += j.Count
-	}
-	if j.inQueue {
-		s.queuedDead-- // requeue before compaction: the entry is live again
-		// The revived entry may sit below the head cursor; pull the
-		// cursor back to its scheduling-order position so the next
-		// pass sees it.
-		at := sort.Search(len(s.queued), func(i int) bool { return !queueLess(s.queued[i], j) })
-		if at < s.queuedHead {
-			s.queuedHead = at
-		}
-		return
-	}
-	j.inQueue = true
-	if n := len(s.queued); n == 0 || queueLess(s.queued[n-1], j) {
-		s.queued = append(s.queued, j)
-		return
-	}
-	at := sort.Search(len(s.queued), func(i int) bool { return queueLess(j, s.queued[i]) })
-	s.queued = append(s.queued, nil)
-	copy(s.queued[at+1:], s.queued[at:])
-	s.queued[at] = j
-	if at < s.queuedHead {
-		s.queuedHead = at
-	}
-}
-
-// noteDequeued adjusts the counters as a job leaves the queued state;
-// its ledger entry goes stale until compactQueue sweeps it.
-func (s *Scheduler) noteDequeued(j *Job) {
-	s.queuedN--
-	if j.Unit == UnitNode {
-		s.queuedNodeUnits -= j.Count
-	} else {
-		s.queuedCores -= j.Count
-	}
-	s.queuedDead++
-}
-
-// noteStarted moves a job into the running ledger.
-func (s *Scheduler) noteStarted(j *Job) {
-	s.noteDequeued(j)
-	j.runIdx = len(s.running)
-	s.running = append(s.running, j)
-}
-
-// noteStopped removes a job from the running ledger (finish, cancel,
-// or node loss).
-func (s *Scheduler) noteStopped(j *Job) {
-	last := len(s.running) - 1
-	tail := s.running[last]
-	s.running[j.runIdx] = tail
-	tail.runIdx = j.runIdx
-	s.running[last] = nil
-	s.running = s.running[:last]
-}
-
-// compactQueue sweeps stale ledger entries once they dominate.
-func (s *Scheduler) compactQueue() {
-	if s.queuedDead <= 64 || s.queuedDead*2 <= len(s.queued) {
-		return
-	}
-	kept := s.queued[:0]
-	for _, j := range s.queued {
-		if j.State == JobQueued {
-			kept = append(kept, j)
-		} else {
-			j.inQueue = false
-		}
-	}
-	for i := len(kept); i < len(s.queued); i++ {
-		s.queued[i] = nil
-	}
-	s.queued = kept
-	s.queuedDead = 0
-	s.queuedHead = 0
-}
-
-// advanceQueueHead slides the live-queue cursor past leading stale
-// entries — the ones compactQueue drops. Under a deep backlog the
-// stale prefix grows by one per started job while compaction waits for
-// its majority threshold, and rescanning it every kick made scheduling
-// O(backlog) per event; the cursor keeps passes proportional to live
-// work.
-func (s *Scheduler) advanceQueueHead() {
-	for s.queuedHead < len(s.queued) && s.queued[s.queuedHead].State != JobQueued {
-		s.queuedHead++
-	}
-}
-
-// firstQueued returns the scheduling-order head of the queue, nil when
-// empty.
-func (s *Scheduler) firstQueued() *Job {
-	s.advanceQueueHead()
-	for _, j := range s.queued[s.queuedHead:] {
-		if j.State == JobQueued {
-			return j
-		}
-	}
-	return nil
 }
 
 // QueuedJobs returns waiting jobs in scheduling order: priority
 // descending (the HPC Pack "Queued" policy), submission order within
 // a level.
-func (s *Scheduler) QueuedJobs() []*Job {
-	out := make([]*Job, 0, s.queuedN)
-	for _, j := range s.queued {
-		if j.State == JobQueued {
-			out = append(out, j)
-		}
-	}
-	return out
-}
+func (s *Scheduler) QueuedJobs() []*Job { return s.byHandle(s.core.Queued()) }
 
 // RunningJobs returns executing jobs in submission order.
-func (s *Scheduler) RunningJobs() []*Job {
-	out := make([]*Job, len(s.running))
-	copy(out, s.running)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func (s *Scheduler) RunningJobs() []*Job { return s.byHandle(s.core.Running()) }
 
 // TotalCores sums cores over nodes that are not unreachable.
 func (s *Scheduler) TotalCores() int { return s.coresUp }
 
 // OnlineNodes counts online nodes.
-func (s *Scheduler) OnlineNodes() int { return s.onlineNodes }
+func (s *Scheduler) OnlineNodes() int { return s.core.Census().UpNodes }
 
 // QueueSnapshot is the condensed queue view the detector polls through
 // the SDK (job counts plus the head-of-queue demand).
@@ -740,15 +501,17 @@ type QueueSnapshot struct {
 // apart from skipping stale entries ahead of the queue head.
 func (s *Scheduler) Snapshot() QueueSnapshot {
 	cpn := s.typicalCores()
+	n := s.core.Census()
 	snap := QueueSnapshot{
-		OnlineCores:  s.onlineCores,
-		Running:      len(s.running),
-		Queued:       s.queuedN,
-		PendingCores: s.queuedCores + s.queuedNodeUnits*cpn,
+		OnlineCores:  n.UpCores,
+		Running:      n.Running,
+		Queued:       n.Waiting,
+		PendingCores: n.WaitCores + n.WaitWhole*cpn,
 	}
 	// The queue head follows scheduling order (priority first), since
 	// that is the job whose demand a dual-boot controller must satisfy.
-	if head := s.firstQueued(); head != nil {
+	if h := s.core.First(); h >= 0 {
+		head := s.jobs[h]
 		snap.FirstQueued = head.ID
 		snap.FirstName = head.Name
 		snap.NeededCores = head.Cores(cpn)
@@ -779,345 +542,15 @@ func (s *Scheduler) recomputeTypicalCores() {
 	s.cpn = best
 }
 
-func (s *Scheduler) kick() {
-	if s.schedPending {
-		return
+// started records the allocation the core granted and starts the job.
+func (s *Scheduler) started(h int, g []sched.Grant) {
+	j := s.jobs[h]
+	j.Alloc = slices.Grow(j.Alloc, len(g))
+	for _, x := range g {
+		j.Alloc = append(j.Alloc, Allocation{Node: s.nodeList[x.Node].Name, Cores: x.N})
 	}
-	s.schedPending = true
-	s.eng.After(0, func() {
-		s.schedPending = false
-		s.schedule()
-	})
-}
-
-// schedule runs one pass of the "Queued" policy. Without Backfill it
-// is strict FCFS over the priority order: stop at the first job that
-// does not fit. With Backfill the pass is EASY: the first blocked job
-// becomes the pivot and gets a reservation at its shadow time — the
-// earliest instant it fits once running jobs release their cores at
-// their projected ends — and later jobs may start only when they
-// cannot delay that reservation.
-func (s *Scheduler) schedule() {
-	if s.schedOverride != nil {
-		s.schedOverride()
-		return
-	}
-	s.compactQueue()
-	s.advanceQueueHead()
-	var pivot *Job
-	var rsv reservation
-	// Iterate the live queue ledger directly; the bound snapshots the
-	// pass the way the old QueuedJobs() copy did, so jobs submitted by
-	// an Exec callback mid-pass wait for the next kick.
-	bound := len(s.queued)
-	for i := s.queuedHead; i < bound; i++ {
-		j := s.queued[i]
-		if j.State != JobQueued {
-			continue
-		}
-		if pivot == nil {
-			if s.tryPlace(j) {
-				continue
-			}
-			if !s.Backfill {
-				return
-			}
-			pivot = j
-			rsv = s.reserve(pivot)
-			continue
-		}
-		s.tryBackfill(j, pivot, &rsv)
-	}
-}
-
-// reservation is the pivot's EASY booking: the shadow time plus the
-// per-node free-core projection at that instant, indexed by node
-// registration order (-1 marks nodes that are not online). totalFree
-// and fitIdle are the maintained fit criteria — projected free cores
-// in total, and projected wholly-free nodes — so testing the pivot
-// against the projection is O(1). ok is false when no projected
-// future fits the pivot (its nodes are unreachable in the other OS) —
-// nothing to protect, so backfill runs unrestricted.
-type reservation struct {
-	shadow    time.Duration
-	free      []int
-	totalFree int
-	fitIdle   int
-	ok        bool
-}
-
-// fits tests the pivot against the projection's maintained criteria.
-func (r *reservation) fits(pivot *Job) bool {
-	if pivot.Unit == UnitNode {
-		return r.fitIdle >= pivot.Count
-	}
-	return r.totalFree >= pivot.Count
-}
-
-// projectedEnd bounds when a running job releases its cores. The HPC
-// job model carries no separate walltime estimate, so the runtime is
-// the bound.
-func projectedEnd(j *Job) time.Duration { return j.StartTime + j.Runtime }
-
-// reserve computes the pivot's shadow state by replaying running
-// jobs' projected releases onto the current free cores, in release
-// order, until the pivot fits. The projection and the job copy live
-// in pooled buffers; the fit counters make each release O(slots)
-// instead of O(nodes).
-func (s *Scheduler) reserve(pivot *Job) reservation {
-	if cap(s.rsvFree) < len(s.nodeOrder) {
-		s.rsvFree = make([]int, len(s.nodeOrder))
-	}
-	rsv := reservation{free: s.rsvFree[:len(s.nodeOrder)]}
-	for i, name := range s.nodeOrder {
-		n := s.nodes[name]
-		if n.state != NodeOnline {
-			rsv.free[i] = -1
-			continue
-		}
-		rsv.free[i] = n.Cores - n.used
-		rsv.totalFree += rsv.free[i]
-		if n.used == 0 {
-			rsv.fitIdle++
-		}
-	}
-	running := append(s.rsvRun[:0], s.running...)
-	s.rsvRun = running
-	sort.Slice(running, func(i, j int) bool {
-		ei, ej := projectedEnd(running[i]), projectedEnd(running[j])
-		if ei != ej {
-			return ei < ej
-		}
-		return running[i].ID < running[j].ID
-	})
-	for i := 0; i < len(running); {
-		end := projectedEnd(running[i])
-		for ; i < len(running) && projectedEnd(running[i]) == end; i++ {
-			for _, a := range running[i].Alloc {
-				n, ok := s.nodes[a.Node]
-				if !ok || rsv.free[n.idx] < 0 {
-					continue
-				}
-				was := rsv.free[n.idx]
-				rsv.free[n.idx] = was + a.Cores
-				rsv.totalFree += a.Cores
-				if was < n.Cores && rsv.free[n.idx] >= n.Cores {
-					rsv.fitIdle++
-				}
-			}
-		}
-		if rsv.fits(pivot) {
-			rsv.shadow = end
-			rsv.ok = true
-			return rsv
-		}
-	}
-	return reservation{}
-}
-
-// tryBackfill starts a candidate behind the blocked pivot if it
-// cannot delay the pivot's reservation: either it releases its cores
-// by the shadow time, or the pivot still fits at the shadow time with
-// the candidate's allocation subtracted. Long candidates that pass
-// stay subtracted, so later candidates see the remaining slack only.
-func (s *Scheduler) tryBackfill(j *Job, pivot *Job, rsv *reservation) bool {
-	alloc := s.chooseAlloc(j)
-	if alloc == nil {
-		return false
-	}
-	if rsv.ok && s.eng.Now()+j.Runtime > rsv.shadow {
-		for _, a := range alloc {
-			n := s.nodes[a.Node]
-			was := rsv.free[n.idx]
-			rsv.free[n.idx] = was - a.Cores
-			rsv.totalFree -= a.Cores
-			if was >= n.Cores && rsv.free[n.idx] < n.Cores {
-				rsv.fitIdle--
-			}
-		}
-		if !rsv.fits(pivot) {
-			for _, a := range alloc {
-				n := s.nodes[a.Node]
-				was := rsv.free[n.idx]
-				rsv.free[n.idx] = was + a.Cores
-				rsv.totalFree += a.Cores
-				if was < n.Cores && rsv.free[n.idx] >= n.Cores {
-					rsv.fitIdle++
-				}
-			}
-			return false
-		}
-	}
-	s.commit(j, alloc)
-	return true
-}
-
-// refreshNode re-derives the node's leaves in both indexes after a
-// busy or state mutation.
-func (s *Scheduler) refreshNode(n *Node) {
-	if n.idx >= s.treeCap {
-		s.rebuildTrees()
-		return
-	}
-	idle := 0
-	if n.state == NodeOnline && n.used == 0 {
-		idle = 1
-	}
-	updateMaxTree(s.freeTree, s.treeCap, n.idx, n.FreeCores())
-	updateMaxTree(s.idleTree, s.treeCap, n.idx, idle)
-}
-
-// rebuildTrees resizes both segment trees to the node count and
-// recomputes every level.
-func (s *Scheduler) rebuildTrees() {
-	capacity := 1
-	for capacity < len(s.nodeOrder) {
-		capacity <<= 1
-	}
-	s.treeCap = capacity
-	s.freeTree = make([]int, 2*capacity)
-	s.idleTree = make([]int, 2*capacity)
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
-		s.freeTree[capacity+n.idx] = n.FreeCores()
-		if n.state == NodeOnline && n.used == 0 {
-			s.idleTree[capacity+n.idx] = 1
-		}
-	}
-	for i := capacity - 1; i >= 1; i-- {
-		s.freeTree[i] = maxInt(s.freeTree[2*i], s.freeTree[2*i+1])
-		s.idleTree[i] = maxInt(s.idleTree[2*i], s.idleTree[2*i+1])
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// updateMaxTree sets a leaf and repairs ancestors until unchanged.
-func updateMaxTree(t []int, treeCap, idx, v int) {
-	i := treeCap + idx
-	if t[i] == v {
-		return
-	}
-	t[i] = v
-	for i >>= 1; i >= 1; i >>= 1 {
-		m := maxInt(t[2*i], t[2*i+1])
-		if t[i] == m {
-			break
-		}
-		t[i] = m
-	}
-}
-
-// nextFit returns the first node index >= from whose leaf value in t
-// reaches want, or -1. O(log nodes).
-func nextFit(t []int, treeCap, limit, from, want int) int {
-	if treeCap == 0 || from >= limit {
-		return -1
-	}
-	i := treeCap + from
-	for {
-		if t[i] >= want {
-			for i < treeCap {
-				if t[2*i] >= want {
-					i = 2 * i
-				} else {
-					i = 2*i + 1
-				}
-			}
-			idx := i - treeCap
-			if idx < limit {
-				return idx
-			}
-			return -1
-		}
-		for {
-			if i == 1 {
-				return -1
-			}
-			if i%2 == 0 {
-				i++
-				break
-			}
-			i >>= 1
-		}
-	}
-}
-
-// chooseAlloc selects an allocation for a job without committing it;
-// nil when the job does not fit right now. The census counters give
-// an O(1) fit test and the node indexes jump between usable nodes,
-// preserving the first-fit-in-registration-order placement of the
-// linear scan. The returned slice is a pooled buffer valid until the
-// next chooseAlloc call.
-func (s *Scheduler) chooseAlloc(j *Job) []Allocation {
-	s.allocBuf = s.allocBuf[:0]
-	switch j.Unit {
-	case UnitNode:
-		if s.idleNodes < j.Count {
-			return nil
-		}
-		from := 0
-		for len(s.allocBuf) < j.Count {
-			i := nextFit(s.idleTree, s.treeCap, len(s.nodeOrder), from, 1)
-			if i < 0 {
-				return nil // unreachable: idleNodes bounds the search
-			}
-			n := s.nodes[s.nodeOrder[i]]
-			s.allocBuf = append(s.allocBuf, Allocation{Node: n.Name, Cores: n.Cores})
-			from = i + 1
-		}
-		return s.allocBuf
-	default: // UnitCore
-		if s.freeCores < j.Count {
-			return nil
-		}
-		need := j.Count
-		from := 0
-		for need > 0 {
-			i := nextFit(s.freeTree, s.treeCap, len(s.nodeOrder), from, 1)
-			if i < 0 {
-				return nil // unreachable: freeCores bounds the search
-			}
-			n := s.nodes[s.nodeOrder[i]]
-			take := n.FreeCores()
-			if take > need {
-				take = need
-			}
-			s.allocBuf = append(s.allocBuf, Allocation{Node: n.Name, Cores: take})
-			need -= take
-			from = i + 1
-		}
-		return s.allocBuf
-	}
-}
-
-// commit occupies an allocation and starts the job.
-func (s *Scheduler) commit(j *Job, alloc []Allocation) {
-	j.Alloc = append(j.Alloc, alloc...)
-	for _, a := range alloc {
-		s.addUsed(s.nodes[a.Node], a.Cores)
-	}
-	s.start(j)
-}
-
-func (s *Scheduler) tryPlace(j *Job) bool {
-	alloc := s.chooseAlloc(j)
-	if alloc == nil {
-		return false
-	}
-	s.commit(j, alloc)
-	return true
-}
-
-func (s *Scheduler) start(j *Job) {
 	j.State = JobRunning
 	j.StartTime = s.eng.Now()
-	s.noteStarted(j)
 	if s.OnJobStart != nil {
 		s.OnJobStart(j)
 	}
@@ -1128,24 +561,16 @@ func (s *Scheduler) start(j *Job) {
 		if j.State != JobRunning {
 			return
 		}
-		s.release(j)
-		s.noteStopped(j)
-		j.State = JobFinished
-		j.EndTime = s.eng.Now()
-		s.notifyEnd(j)
-		s.kick()
+		s.core.Stop(h)
+		s.ended(j, JobFinished)
+		s.core.Kick()
 	})
 }
 
-func (s *Scheduler) release(j *Job) {
-	for _, a := range j.Alloc {
-		if n, ok := s.nodes[a.Node]; ok {
-			s.addUsed(n, -a.Cores)
-		}
-	}
-}
-
-func (s *Scheduler) notifyEnd(j *Job) {
+// ended moves a job to a terminal state and fires the end hooks.
+func (s *Scheduler) ended(j *Job, st JobState) {
+	j.State = st
+	j.EndTime = s.eng.Now()
 	if s.OnJobEnd != nil {
 		s.OnJobEnd(j)
 	}
