@@ -73,6 +73,7 @@ type Job struct {
 	// OnEnd, when non-nil, runs when the job finishes or is killed.
 	OnEnd func(j *Job)
 
+	queue         *Queue // resolved at Qsub; queues are never deleted
 	killedAtLimit bool
 	failed        bool
 }

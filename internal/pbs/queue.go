@@ -88,26 +88,11 @@ func (s *Server) SetQueueStarted(name string, started bool) error {
 	return nil
 }
 
-// runningInQueue counts running jobs belonging to a queue.
-func (s *Server) runningInQueue(name string) int {
-	q, ok := s.queues[name]
-	if !ok {
-		return 0
-	}
-	return q.running
-}
-
 // schedulable reports whether a queued job may be considered in this
 // pass: its queue must be started and under its running cap.
 func (s *Server) schedulable(j *Job) bool {
-	q, ok := s.queues[j.Queue]
-	if !ok || !q.started {
-		return false
-	}
-	if q.MaxRunning > 0 && s.runningInQueue(q.Name) >= q.MaxRunning {
-		return false
-	}
-	return true
+	q := j.queue
+	return q.started && (q.MaxRunning == 0 || q.running < q.MaxRunning)
 }
 
 // QstatSummary renders the classic tabular `qstat` output:

@@ -164,3 +164,54 @@ func TestQstatSummaryShape(t *testing.T) {
 		t.Fatalf("completed job still listed:\n%s", out)
 	}
 }
+
+// TestBackfillSkipsGatedQueues: under EASY backfill, jobs in a capped
+// or stopped queue are skipped, both ahead of the pivot and behind it.
+// Ahead of it, a gated wide job must not become the pivot: booked at
+// the blocker's one-hour end, it would reject the later job, whose
+// two-hour walltime runs past that. Behind it, a gated narrow job must
+// not backfill even though it fits and ends before the shadow time.
+func TestBackfillSkipsGatedQueues(t *testing.T) {
+	for _, gate := range []string{"capped", "stopped"} {
+		t.Run(gate, func(t *testing.T) {
+			eng, s := newTestServer(t, 2)
+			s.Backfill = true
+			q, _ := s.CreateQueue("gated")
+			blocker, _ := s.Qsub(SubmitRequest{Name: "blocker", Queue: "gated", Nodes: 1, PPN: 4,
+				Runtime: time.Hour, Walltime: time.Hour})
+			eng.RunUntil(time.Second)
+			if gate == "capped" {
+				q.MaxRunning = 1
+			} else {
+				s.SetQueueStarted("gated", false)
+			}
+			wide, _ := s.Qsub(SubmitRequest{Name: "wide", Queue: "gated", Nodes: 2, PPN: 4,
+				Runtime: time.Hour, Walltime: time.Hour})
+			later, _ := s.Qsub(SubmitRequest{Name: "later", Nodes: 1, PPN: 2,
+				Runtime: 2 * time.Hour, Walltime: 2 * time.Hour})
+			pivot, _ := s.Qsub(SubmitRequest{Name: "pivot", Nodes: 2, PPN: 4,
+				Runtime: time.Hour, Walltime: time.Hour})
+			narrow, _ := s.Qsub(SubmitRequest{Name: "narrow", Queue: "gated", Nodes: 1, PPN: 1,
+				Runtime: 30 * time.Minute, Walltime: 30 * time.Minute})
+			eng.RunUntil(time.Minute)
+			if blocker.State != StateRunning || wide.State != StateQueued || pivot.State != StateQueued {
+				t.Fatalf("blocker %v, wide %v, pivot %v", blocker.State, wide.State, pivot.State)
+			}
+			if later.State != StateRunning {
+				t.Fatalf("later job = %v, blocked behind a %s queue", later.State, gate)
+			}
+			if narrow.State != StateQueued {
+				t.Fatalf("narrow job = %v, backfilled from a %s queue", narrow.State, gate)
+			}
+			if gate == "stopped" {
+				s.SetQueueStarted("gated", true)
+			}
+			eng.Run()
+			for _, j := range []*Job{blocker, wide, later, pivot, narrow} {
+				if j.State != StateComplete {
+					t.Fatalf("%s = %v after the run", j.Name, j.State)
+				}
+			}
+		})
+	}
+}

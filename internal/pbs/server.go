@@ -298,6 +298,7 @@ func (s *Server) Qsub(req SubmitRequest) (*Job, error) {
 		Owner:      req.Owner,
 		State:      StateQueued,
 		Queue:      req.Queue,
+		queue:      q,
 		Server:     s.Name(),
 		Nodes:      req.Nodes,
 		PPN:        req.PPN,
@@ -464,9 +465,7 @@ func (s *Server) started(h int, g []sched.Grant) {
 			hosts = append(hosts, n.Name)
 		}
 	}
-	if q, ok := s.queues[j.Queue]; ok {
-		q.running++
-	}
+	j.queue.running++
 	j.State = StateRunning
 	j.StartTime = s.eng.Now()
 	if s.OnJobStart != nil {
@@ -522,9 +521,7 @@ func (s *Server) releaseSlots(j *Job) {
 			busy[j.ExecHost[k].CPU] = nil
 		}
 	}
-	if q, ok := s.queues[j.Queue]; ok {
-		q.running--
-	}
+	j.queue.running--
 }
 
 // stamp renders a virtual time as the wall-clock string PBS prints.

@@ -66,6 +66,7 @@ const (
 type job struct {
 	key     int64         // queue order, ascending
 	hold    time.Duration // upper bound on how long a start holds its grants
+	end     time.Duration // projected release of the current start
 	d       Demand
 	run     int32 // slot in the running ledger while running
 	state   uint8
@@ -80,12 +81,11 @@ type node struct {
 	up        bool
 }
 
-// runSlot is one running job: its projected end and its grants,
-// stored at start so the reservation replay reads plain arrays.
+// runSlot is one running job and its grants, stored at start so the
+// reservation replay reads plain arrays.
 type runSlot struct {
-	h   int32
-	end time.Duration
-	g   []Grant
+	h int32
+	g []Grant
 }
 
 // Core is the scheduling state of one head scheduler.
@@ -116,6 +116,14 @@ type Core struct {
 	// reuse.
 	run []runSlot
 
+	// rel lists releases for the reservation replay: rel[:sorted] in
+	// (end, handle) order as of the last call to order, then the jobs
+	// started since. Entries whose job has stopped or restarted are
+	// stale until order drops them; start calls it once stale entries
+	// could be the majority, as compact does for the queue.
+	rel    []release
+	sorted int
+
 	nodes []node
 
 	// free and idle are max segment trees over node indices: effective
@@ -124,15 +132,19 @@ type Core struct {
 	free, idle       maxTree
 	freeTotal, idleN int
 
+	// atLeast[p] counts up nodes with at least p free cores (p ≥ 1), so
+	// a nodes×PPN demand that cannot fit fails without a tree walk.
+	atLeast []int
+
 	n Census
 
 	pending bool
 	passFn  func()
 
 	// Scratch reused across passes.
-	gbuf []Grant
-	rel  []release
-	rsv  reservation
+	gbuf   []Grant
+	relBuf []release
+	rsv    reservation
 }
 
 // New creates a core on the engine. backfill points at the front
@@ -152,6 +164,9 @@ func (c *Core) AddNode(capacity int, up bool) int {
 	c.nodes = append(c.nodes, node{cap: capacity})
 	c.free.grow(i + 1)
 	c.idle.grow(i + 1)
+	if k := capacity + 1 - len(c.atLeast); k > 0 {
+		c.atLeast = append(c.atLeast, make([]int, k)...)
+	}
 	c.SetUp(i, up)
 	return i
 }
@@ -180,18 +195,24 @@ func (c *Core) Free(i int) int { return c.free.t[c.free.size+i] }
 // Used returns the cores granted on node i.
 func (c *Core) Used(i int) int { return c.nodes[i].used }
 
-// refresh re-derives node i's tree leaves and their sums after a
-// grant or availability change.
+// refresh re-derives node i's tree leaves, their sums and the atLeast
+// census after a grant or availability change.
 func (c *Core) refresh(i int) {
 	n := &c.nodes[i]
-	f, idle := 0, 0
+	f, idle, was := 0, 0, c.Free(i)
 	if n.up {
 		f = n.cap - n.used
 	}
 	if f == n.cap {
 		idle = 1
 	}
-	c.freeTotal += f - c.Free(i)
+	for p := was + 1; p <= f; p++ {
+		c.atLeast[p]++
+	}
+	for p := f + 1; p <= was; p++ {
+		c.atLeast[p]--
+	}
+	c.freeTotal += f - was
 	c.idleN += idle - c.idle.t[c.idle.size+i]
 	c.free.set(i, f)
 	c.idle.set(i, idle)
@@ -389,25 +410,31 @@ func (c *Core) pass() {
 	pivot := -1
 	for k, bound := c.head, len(c.queue); k < bound; k++ {
 		h := int(c.queue[k])
-		if c.jobs[h].state != waiting || c.eligible != nil && !c.eligible(h) {
+		if c.jobs[h].state != waiting {
 			continue
 		}
-		if pivot < 0 {
-			if c.TryStart(h) {
-				continue
+		if pivot >= 0 {
+			// Most candidates behind a pivot do not fit, and choose's
+			// census says so before the front end is asked.
+			if g := c.choose(c.jobs[h].d); g != nil && c.allowed(h) {
+				c.backfillStart(h, g, c.jobs[pivot].d)
 			}
-			if !*c.backfill {
-				return
-			}
-			pivot = h
-			c.reserve(c.jobs[h].d)
 			continue
 		}
-		if g := c.choose(c.jobs[h].d); g != nil {
-			c.backfillStart(h, g, c.jobs[pivot].d)
+		if !c.allowed(h) || c.TryStart(h) {
+			continue
 		}
+		if !*c.backfill {
+			return
+		}
+		pivot = h
+		c.reserve(c.jobs[h].d)
 	}
 }
+
+// allowed reports whether the front end lets waiting job h start in
+// this pass.
+func (c *Core) allowed(h int) bool { return c.eligible == nil || c.eligible(h) }
 
 // TryStart starts waiting job h now if it fits.
 func (c *Core) TryStart(h int) bool {
@@ -420,8 +447,9 @@ func (c *Core) TryStart(h int) bool {
 }
 
 // choose picks grants for d on the nodes as they are now, first fit
-// in node order, or returns nil when d does not fit. The whole-node
-// and cores-anywhere shapes check their census first. The slice is
+// in node order, or returns nil when d does not fit. Every shape
+// checks its census first, and first fit succeeds exactly when the
+// census allows, so a tree walk always ends in grants. The slice is
 // reused by the next call.
 func (c *Core) choose(d Demand) []Grant {
 	tree, want := &c.free, max(d.PPN, 1)
@@ -430,10 +458,9 @@ func (c *Core) choose(d Demand) []Grant {
 		if c.freeTotal < d.Cores {
 			return nil
 		}
+	case c.fitting(d) < d.Nodes:
+		return nil
 	case d.PPN == 0:
-		if c.idleN < d.Nodes {
-			return nil
-		}
 		tree = &c.idle
 	}
 	g := c.gbuf[:0]
@@ -452,6 +479,19 @@ func (c *Core) choose(d Demand) []Grant {
 	return g
 }
 
+// fitting counts the up nodes that have the free cores node-shaped
+// demand d needs on each: idle nodes for whole-node demands, else the
+// atLeast census.
+func (c *Core) fitting(d Demand) int {
+	switch {
+	case d.PPN == 0:
+		return c.idleN
+	case d.PPN < len(c.atLeast):
+		return c.atLeast[d.PPN]
+	}
+	return 0
+}
+
 // start grants g to waiting job h, moves it to the running ledger and
 // hands it to the front end.
 func (c *Core) start(h int, g []Grant) {
@@ -460,7 +500,7 @@ func (c *Core) start(h int, g []Grant) {
 		c.refresh(x.Node)
 	}
 	j := &c.jobs[h]
-	j.state = running
+	j.state, j.end = running, c.eng.Now()+j.hold
 	c.count(j.d, -1)
 	c.dead++ // its queue entry is now stale
 	k := len(c.run)
@@ -470,19 +510,23 @@ func (c *Core) start(h int, g []Grant) {
 		c.run = append(c.run, runSlot{})
 	}
 	r := &c.run[k]
-	r.h, r.end, r.g = int32(h), c.eng.Now()+j.hold, append(r.g[:0], g...)
+	r.h, r.g = int32(h), append(r.g[:0], g...)
 	j.run = int32(k)
+	if c.rel = append(c.rel, release{j.end, int32(h)}); len(c.rel) > 2*len(c.run)+64 {
+		c.order()
+	}
 	c.onStart(h, r.g)
 }
 
 // reservation is the pivot's EASY booking: the shadow time and the
-// per-node free cores projected at that instant (-1 for nodes that are
-// not up). fit counts nodes whose projection meets the pivot's
-// per-node need and total sums the projection, so testing the pivot
-// against it is O(1). When ok is false no projected future fits the
-// pivot (its nodes are down or in the other OS): there is nothing to
-// protect, so backfill runs unrestricted, which lets the hybrid pack
-// narrow work while the controller fetches nodes for the wide head.
+// per-node free cores projected at that instant (0 for nodes that are
+// not up, where releases are not replayed). fit counts nodes whose
+// projection meets the pivot's per-node need and total sums the
+// projection, so testing the pivot against it is O(1); both start from
+// the census. When ok is false no projected future fits the pivot (its
+// nodes are down or in the other OS): there is nothing to protect, so
+// backfill runs unrestricted, which lets the hybrid pack narrow work
+// while the controller fetches nodes for the wide head.
 type reservation struct {
 	shadow     time.Duration
 	free       []int
@@ -507,11 +551,35 @@ func (r *reservation) shift(i, n, need int) {
 
 // release is one running job in the reservation replay.
 type release struct {
-	end     time.Duration
-	h, slot int32
+	end time.Duration
+	h   int32
 }
 
-func (a release) before(b release) bool { return a.end < b.end || a.end == b.end && a.h < b.h }
+func (a release) compare(b release) int {
+	return cmp.Or(cmp.Compare(a.end, b.end), cmp.Compare(a.h, b.h))
+}
+
+// order sorts the releases appended since it last ran and merges
+// them into the ordered prefix, dropping stale entries and the
+// duplicate a job leaves when it restarts at the instant it was
+// requeued.
+func (c *Core) order() {
+	a, b := c.rel[:c.sorted], c.rel[c.sorted:]
+	slices.SortFunc(b, release.compare)
+	out := c.relBuf[:0]
+	for len(a) > 0 || len(b) > 0 {
+		var r release
+		if len(b) == 0 || len(a) > 0 && a[0].compare(b[0]) <= 0 {
+			r, a = a[0], a[1:]
+		} else {
+			r, b = b[0], b[1:]
+		}
+		if j := &c.jobs[r.h]; j.state == running && j.end == r.end && (len(out) == 0 || out[len(out)-1] != r) {
+			out = append(out, r)
+		}
+	}
+	c.rel, c.relBuf, c.sorted = out, c.rel[:0], len(out)
+}
 
 // reserve books pivot demand d by replaying the running jobs'
 // projected releases onto the current free cores, in release order,
@@ -519,31 +587,15 @@ func (a release) before(b release) bool { return a.end < b.end || a.end == b.end
 // runtime), so the pivot never starts later than its shadow time.
 func (c *Core) reserve(d Demand) {
 	r := &c.rsv
-	r.free = slices.Grow(r.free[:0], len(c.nodes))[:len(c.nodes)]
-	r.fit, r.total, r.ok = 0, 0, false
-	for i, n := range c.nodes {
-		if !n.up {
-			r.free[i] = -1
-			continue
-		}
-		f := n.cap - n.used
-		r.free[i] = f
-		r.total += f
-		if f >= d.per(n.cap) {
-			r.fit++
-		}
-	}
-	rel := c.rel[:0]
-	for k := range c.run {
-		rel = append(rel, release{c.run[k].end, c.run[k].h, int32(k)})
-	}
-	sortReleases(rel)
-	c.rel = rel
+	r.free = append(r.free[:0], c.free.t[c.free.size:][:len(c.nodes)]...)
+	r.fit, r.total, r.ok = c.fitting(d), c.freeTotal, false
+	c.order()
+	rel := c.rel
 	for k := 0; k < len(rel); {
 		end := rel[k].end
 		for ; k < len(rel) && rel[k].end == end; k++ {
-			for _, x := range c.run[rel[k].slot].g {
-				if r.free[x.Node] >= 0 {
+			for _, x := range c.run[c.jobs[rel[k].h].run].g {
+				if c.nodes[x.Node].up {
 					r.shift(x.Node, x.N, d.per(c.nodes[x.Node].cap))
 				}
 			}
@@ -574,50 +626,6 @@ func (c *Core) backfillStart(h int, g []Grant, pivot Demand) {
 		}
 	}
 	c.start(h, g)
-}
-
-// sortReleases orders releases by projected end, then handle: a
-// quicksort with a median-of-three pivot and insertion sort for short
-// runs, comparing inline.
-func sortReleases(a []release) {
-	for len(a) > 12 {
-		lo, mid, hi := 0, len(a)/2, len(a)-1
-		if a[mid].before(a[lo]) {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi].before(a[lo]) {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi].before(a[mid]) {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		p, i, j := a[mid], lo, hi
-		for i <= j {
-			for a[i].before(p) {
-				i++
-			}
-			for p.before(a[j]) {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if j+1 < len(a)-i {
-			sortReleases(a[:j+1])
-			a = a[i:]
-		} else {
-			sortReleases(a[i:])
-			a = a[:j+1]
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		for k := i; k > 0 && a[k].before(a[k-1]); k-- {
-			a[k], a[k-1] = a[k-1], a[k]
-		}
-	}
 }
 
 // maxTree is a max segment tree over node indices: nextFit jumps to
@@ -692,13 +700,14 @@ func (m *maxTree) nextFit(from, limit, want int) int {
 
 // Rebuild recomputes from scratch everything the core maintains
 // incrementally — the queue ledger and its cursor, the census, the
-// per-node grant counts, both trees and their sums — from the jobs'
-// states, the running jobs' grants and the nodes' availability,
+// per-node grant counts, both trees, their sums and the atLeast census,
+// and the release order — from the jobs' states, the running jobs'
+// grants and projected ends, and the nodes' availability,
 // installs the result, and reports the first structure whose
 // incremental form differed. The twin-equivalence tests call it
 // before every pass.
 func (c *Core) Rebuild() error {
-	s := Core{jobs: c.jobs, nodes: make([]node, len(c.nodes))}
+	s := Core{jobs: c.jobs, nodes: make([]node, len(c.nodes)), atLeast: make([]int, len(c.atLeast))}
 	for i, n := range c.nodes {
 		s.nodes[i].cap = n.cap
 	}
@@ -728,6 +737,7 @@ func (c *Core) Rebuild() error {
 		if c.jobs[r.h].state != running || int(c.jobs[r.h].run) != k {
 			return errors.New("sched: running ledger drifted")
 		}
+		s.rel = append(s.rel, release{c.jobs[r.h].end, r.h})
 		for _, x := range r.g {
 			s.nodes[x.Node].used += x.N
 		}
@@ -737,6 +747,8 @@ func (c *Core) Rebuild() error {
 	for i, n := range c.nodes {
 		s.SetUp(i, n.up)
 	}
+	slices.SortFunc(s.rel, release.compare)
+	c.order()
 	switch {
 	case !slices.Equal(live, s.queue) || c.dead != len(c.queue)-len(live):
 		return errors.New("sched: queue ledger drifted")
@@ -747,8 +759,10 @@ func (c *Core) Rebuild() error {
 	case !slices.Equal(c.nodes, s.nodes):
 		return errors.New("sched: per-node grants drifted")
 	case !slices.Equal(c.free.t, s.free.t) || !slices.Equal(c.idle.t, s.idle.t) ||
-		c.freeTotal != s.freeTotal || c.idleN != s.idleN:
+		c.freeTotal != s.freeTotal || c.idleN != s.idleN || !slices.Equal(c.atLeast, s.atLeast):
 		return errors.New("sched: node trees drifted")
+	case !slices.Equal(c.rel, s.rel):
+		return errors.New("sched: release order drifted")
 	}
 	c.queue, c.dead, c.head = s.queue, 0, 0
 	c.free, c.idle = s.free, s.idle

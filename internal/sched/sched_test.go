@@ -22,22 +22,146 @@ func newCore(backfill bool, sizes ...int) (*simtime.Engine, *Core, *[]int) {
 	return eng, c, started
 }
 
-func TestSortReleasesMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 2, 12, 13, 50, 1000} {
-		for _, spread := range []int64{1, 5, 1 << 40} { // many ties, some, none
-			a := make([]release, n)
-			for i := range a {
-				a[i] = release{end: time.Duration(rng.Int63n(spread)), h: int32(rng.Intn(1 << 20)), slot: int32(i)}
+// TestChooseMatchesCensus: on random node tables and grants, a
+// nodes×PPN demand gets grants exactly when a brute-force count of up
+// nodes with PPN free cores reaches Nodes, and the grants land there.
+func TestChooseMatchesCensus(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for table := 0; table < 200; table++ {
+		_, c, _ := newCore(false)
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			c.AddNode([]int{2, 4, 8}[rng.Intn(3)], true)
+		}
+		for k := 0; k < 20; k++ {
+			if h := c.Submit(int64(k), time.Hour, Demand{Nodes: 1, PPN: 1 + rng.Intn(4)}); !c.TryStart(h) {
+				c.Dequeue(h)
 			}
-			want := slices.Clone(a)
-			sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
-			sortReleases(a)
-			for i := range a {
-				if a[i].end != want[i].end || a[i].h != want[i].h {
-					t.Fatalf("n=%d spread=%d: position %d = %+v, want %+v", n, spread, i, a[i], want[i])
+		}
+		for i := range c.nodes {
+			c.SetUp(i, rng.Intn(4) > 0) // drained nodes keep their grants
+		}
+		if err := c.Rebuild(); err != nil {
+			t.Fatalf("table %d: %v", table, err)
+		}
+		for k := 0; k < 30; k++ {
+			d := Demand{Nodes: 1 + rng.Intn(6), PPN: 1 + rng.Intn(9)}
+			fit := 0
+			for _, n := range c.nodes {
+				if n.up && n.cap-n.used >= d.PPN {
+					fit++
 				}
 			}
+			g := c.choose(d)
+			if (g != nil) != (fit >= d.Nodes) {
+				t.Fatalf("table %d: choose(%+v) = %v with %d nodes fitting", table, d, g, fit)
+			}
+			for _, x := range g {
+				if n := c.nodes[x.Node]; !n.up || n.cap-n.used < d.PPN || x.N != d.PPN {
+					t.Fatalf("table %d: choose(%+v) granted %+v on %+v", table, d, x, n)
+				}
+			}
+		}
+	}
+}
+
+// scratchShadow books d the slow way: sort the running ledger by
+// projected end, replay its grants onto a copy of the free cores and
+// count nodes until d fits.
+func scratchShadow(c *Core, d Demand) (time.Duration, bool) {
+	rel := make([]release, 0, len(c.run))
+	for _, r := range c.run {
+		rel = append(rel, release{c.jobs[r.h].end, r.h})
+	}
+	sort.Slice(rel, func(a, b int) bool {
+		return rel[a].end < rel[b].end || rel[a].end == rel[b].end && rel[a].h < rel[b].h
+	})
+	free := make([]int, len(c.nodes))
+	for i, n := range c.nodes {
+		free[i] = n.cap - n.used
+	}
+	for k, r := range rel {
+		for _, x := range c.Grants(int(r.h)) {
+			free[x.Node] += x.N
+		}
+		if k+1 < len(rel) && rel[k+1].end == r.end {
+			continue
+		}
+		fit, total := 0, 0
+		for i, n := range c.nodes {
+			if n.up {
+				total += free[i]
+				if free[i] >= d.per(n.cap) {
+					fit++
+				}
+			}
+		}
+		if fit >= d.Nodes && total >= d.Cores {
+			return r.end, true
+		}
+	}
+	return 0, false
+}
+
+// TestReleaseOrderUnderChurn drives starts, stops, requeues, restarts
+// at the same instant and node drains through a core. Every few steps
+// it checks the booked shadow time against a from-scratch replay and,
+// through Rebuild, the release order against a fresh sort of the
+// running ledger.
+func TestReleaseOrderUnderChurn(t *testing.T) {
+	eng, c, _ := newCore(true, 2, 4, 8, 4, 8, 2, 4, 8)
+	rng := rand.New(rand.NewSource(17))
+	check := func(step int) {
+		t.Helper()
+		for _, d := range []Demand{{Nodes: 3, PPN: 4}, {Nodes: 2}, {Cores: 20}, {Nodes: 1, PPN: 8}} {
+			c.reserve(d)
+			shadow, ok := scratchShadow(c, d)
+			if c.rsv.ok != ok || ok && c.rsv.shadow != shadow {
+				t.Fatalf("step %d: reserve(%+v) booked (%v, %v), scratch (%v, %v)", step, d, c.rsv.shadow, c.rsv.ok, shadow, ok)
+			}
+		}
+		if err := c.Rebuild(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	// A job requeued and restarted at the instant it started has the
+	// same release twice: one ordered, one appended.
+	h := c.Submit(0, time.Hour, Demand{Nodes: 1, PPN: 2})
+	c.TryStart(h)
+	check(0)
+	c.Requeue(h)
+	c.TryStart(h)
+	check(0)
+	for step := 1; step <= 3000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 5:
+			d := Demand{Nodes: 1 + rng.Intn(2), PPN: 1 + rng.Intn(4)}
+			if rng.Intn(3) == 0 {
+				d = Demand{Cores: 1 + rng.Intn(6)}
+			}
+			h := c.Submit(int64(step), time.Duration(1+rng.Intn(3))*time.Hour, d)
+			if !c.TryStart(h) {
+				c.Dequeue(h)
+			} else if len(c.rel) > 2*len(c.run)+64 {
+				t.Fatalf("step %d: %d releases kept for %d running jobs", step, len(c.rel), len(c.run))
+			}
+		case len(c.run) == 0:
+		case op < 7:
+			c.Stop(int(c.run[rng.Intn(len(c.run))].h))
+		default:
+			h := int(c.run[rng.Intn(len(c.run))].h)
+			c.Requeue(h)
+			if op < 9 && !c.TryStart(h) {
+				c.Dequeue(h)
+			}
+		}
+		if rng.Intn(20) == 0 { // drained nodes keep their grants
+			c.SetUp(rng.Intn(len(c.nodes)), rng.Intn(3) > 0)
+		}
+		if rng.Intn(4) == 0 {
+			eng.RunUntil(eng.Now() + time.Duration(rng.Intn(3))*30*time.Minute)
+		}
+		if step%500 < 250 && rng.Intn(3) == 0 { // long stretches without a replay let start compact
+			check(step)
 		}
 	}
 }
