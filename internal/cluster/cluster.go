@@ -180,14 +180,18 @@ type Cluster struct {
 	rng     *rand.Rand
 	pbsDet  detector.Detector
 	winDet  detector.Detector
-	pending map[osid.OS]int // outstanding switch orders by donor side
-	arrived map[osid.OS]int // cumulative CPU demand submitted per side
+	pending [3]int // outstanding switch orders by donor side
+	arrived [3]int // cumulative CPU demand submitted per side
+	onSide  [3]int // nodes by n.OS; see setOS
 
 	// controlActions counts mechanism writes: FAT control-file edits
 	// (v1) or PXE flag sets (v2). E8 compares these across versions.
 	controlActions int
 	events         []Event
-	submitted      map[string]bool // workload job IDs awaiting completion
+	// pbsRec and winRec map a scheduler's dense job number (PBS SeqNo,
+	// HPC job ID), less one, to the workload job's recorder handle; -1
+	// marks a job that is not a workload job (a switch job) or has left.
+	pbsRec, winRec []int32
 	unfinished     int
 	toSubmit       int     // trace jobs scheduled but not yet submitted
 	hooks          []Hooks // lifecycle observers (see run.go)
@@ -210,16 +214,13 @@ func New(cfg Config) (*Cluster, error) {
 		winHead = cfg.NamePrefix + "-WINHEAD"
 	}
 	c := &Cluster{
-		Eng:       eng,
-		PBS:       pbs.NewServer(eng, fqdn),
-		Win:       winhpc.NewScheduler(eng, winHead),
-		Bus:       comm.NewBus(eng, cfg.BusLatency),
-		cfg:       cfg,
-		byName:    make(map[string]*Node),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		pending:   map[osid.OS]int{},
-		arrived:   map[osid.OS]int{},
-		submitted: map[string]bool{},
+		Eng:    eng,
+		PBS:    pbs.NewServer(eng, fqdn),
+		Win:    winhpc.NewScheduler(eng, winHead),
+		Bus:    comm.NewBus(eng, cfg.BusLatency),
+		cfg:    cfg,
+		byName: make(map[string]*Node),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	c.Rec = metrics.NewRecorder(eng.Now, cfg.Nodes*cfg.CoresPerNode)
 	if cfg.SchedPolicy == SchedBackfill {
@@ -328,7 +329,9 @@ func (c *Cluster) provisionNodes() error {
 
 		hw.Power = hardware.PowerOn
 		hw.BootedOS = startOS
-		node := &Node{HW: hw, OS: startOS}
+		node := &Node{HW: hw} // on no side until setOS
+		c.onSide[osid.None]++
+		c.setOS(node, startOS)
 		c.nodes = append(c.nodes, node)
 		c.byName[name] = node
 
@@ -407,19 +410,22 @@ func (c *Cluster) v1FATPartition(hw *hardware.Node) (*hardware.Partition, error)
 // requeued rerunnable jobs suspend busy-core integration until their
 // next attempt starts.
 func (c *Cluster) wireSchedulers() {
-	c.PBS.OnJobStart = func(j *pbs.Job) { c.Rec.JobStarted(j.ID) }
-	c.PBS.OnJobRequeue = func(j *pbs.Job) { c.Rec.JobInterrupted(j.ID) }
+	c.PBS.OnJobStart = func(j *pbs.Job) { c.Rec.JobStarted(recHandle(c.pbsRec, j.SeqNo)) }
+	c.PBS.OnJobRequeue = func(j *pbs.Job) { c.Rec.JobInterrupted(recHandle(c.pbsRec, j.SeqNo)) }
 	c.PBS.OnJobEnd = func(j *pbs.Job) {
 		ok := !j.KilledAtWalltime() && !j.Failed()
-		c.Rec.JobEnded(j.ID, ok)
-		c.markDone(j.ID, ok)
+		if c.jobDone(c.pbsRec, j.SeqNo, ok) {
+			c.notifyJobCompleted(j.ID, ok)
+		}
 	}
-	c.Win.OnJobStart = func(j *winhpc.Job) { c.Rec.JobStarted(winJobID(j.ID)) }
-	c.Win.OnJobRequeue = func(j *winhpc.Job) { c.Rec.JobInterrupted(winJobID(j.ID)) }
+	c.Win.OnJobStart = func(j *winhpc.Job) { c.Rec.JobStarted(recHandle(c.winRec, j.ID)) }
+	c.Win.OnJobRequeue = func(j *winhpc.Job) { c.Rec.JobInterrupted(recHandle(c.winRec, j.ID)) }
 	c.Win.OnJobEnd = func(j *winhpc.Job) {
 		ok := j.State == winhpc.JobFinished
-		c.Rec.JobEnded(winJobID(j.ID), ok)
-		c.markDone(winJobID(j.ID), ok)
+		// The ID is rendered only for an observer.
+		if c.jobDone(c.winRec, j.ID, ok) && len(c.hooks) > 0 {
+			c.notifyJobCompleted(winJobID(j.ID), ok)
+		}
 		if c.cfg.Mode == MonoStable {
 			c.returnNodesHome()
 		}
@@ -428,12 +434,34 @@ func (c *Cluster) wireSchedulers() {
 
 func winJobID(id int) string { return fmt.Sprintf("W%d", id) }
 
-func (c *Cluster) markDone(id string, completed bool) {
-	if c.submitted[id] {
-		delete(c.submitted, id)
-		c.unfinished--
-		c.notifyJobCompleted(id, completed)
+// recHandle returns the recorder handle of scheduler job number n
+// (counted from 1), or -1 when the job is not tracked.
+func recHandle(recs []int32, n int) int {
+	if n > len(recs) {
+		return -1
 	}
+	return int(recs[n-1])
+}
+
+// jobDone records a job's end and, for a tracked workload job, retires
+// its handle; it reports whether the job was tracked.
+func (c *Cluster) jobDone(recs []int32, n int, completed bool) bool {
+	h := recHandle(recs, n)
+	c.Rec.JobEnded(h, completed)
+	if h < 0 {
+		return false
+	}
+	recs[n-1] = -1
+	c.unfinished--
+	return true
+}
+
+// setOS moves a node to a side (None while switching or down),
+// keeping the per-side node counts SideInfo reads.
+func (c *Cluster) setOS(n *Node, os osid.OS) {
+	c.onSide[n.OS]--
+	n.OS = os
+	c.onSide[os]++
 }
 
 // returnNodesHome implements mono-stable behaviour: once the Windows

@@ -17,8 +17,14 @@ func TestRunUntilDrainedStuckSwitchStopsAtHorizon(t *testing.T) {
 	}
 	// Wedge a node mid-switch with no pending event to release it —
 	// the permanently-stuck case (e.g. a machine that powers off
-	// during reboot and never reports back).
-	c.nodes[0].Switching = true
+	// during reboot and never reports back): beginSwitch's state
+	// changes without the boot it schedules.
+	n := c.nodes[0]
+	n.Switching = true
+	c.setOS(n, osid.None)
+	if err := c.PBS.SetNodeAvailable(n.HW.Name, false); err != nil {
+		t.Fatal(err)
+	}
 
 	const horizon = 2 * time.Hour
 	done := make(chan struct{})

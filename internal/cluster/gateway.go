@@ -26,6 +26,9 @@ func (c *Cluster) SideInfo(os osid.OS) controller.SideState {
 		ArrivedCPUs:   c.arrived[os],
 		SwitchLatency: c.SwitchLatencyEstimate(os),
 	}
+	// A node is up in a side's scheduler only while n.OS is that side
+	// (a switch sets None first), so the scheduler's idle census counts
+	// exactly the side's nodes nodeIdle accepts.
 	var det detector.Detector
 	switch os {
 	case osid.Linux:
@@ -34,27 +37,21 @@ func (c *Cluster) SideInfo(os osid.OS) controller.SideState {
 		s.RunningJobs = stats.Running
 		s.QueuedJobs = stats.Queued
 		s.QueuedCPUs = stats.QueuedCPUs
+		s.IdleNodes = stats.IdleNodes
 	case osid.Windows:
 		det = c.winDet
 		snap := c.Win.Snapshot()
 		s.RunningJobs = snap.Running
 		s.QueuedJobs = snap.Queued
 		s.QueuedCPUs = snap.PendingCores
+		s.IdleNodes = snap.IdleNodes
 	default:
 		return s
 	}
 	if rep, err := det.Detect(); err == nil {
 		s.Report = rep
 	}
-	for _, n := range c.nodes {
-		if n.OS != os || n.Switching {
-			continue
-		}
-		s.TotalNodes++
-		if c.nodeIdle(n) {
-			s.IdleNodes++
-		}
-	}
+	s.TotalNodes = c.onSide[os]
 	return s
 }
 
@@ -189,7 +186,7 @@ func (c *Cluster) beginSwitch(name string, target osid.OS) {
 	from := n.OS
 	n.Switching = true
 	n.Target = target
-	n.OS = osid.None
+	c.setOS(n, osid.None)
 	n.HW.Power = hardware.PowerShuttingDown
 	c.Rec.SwitchStarted(name, from, target)
 	c.Rec.NodeDown(from)
@@ -221,7 +218,7 @@ func (c *Cluster) beginSwitch(name string, target osid.OS) {
 		c.Eng.After(res.Latency, func() {
 			n.Switching = false
 			n.Target = osid.None
-			n.OS = res.OS
+			c.setOS(n, res.OS)
 			n.HW.Power = hardware.PowerOn
 			n.HW.BootedOS = res.OS
 			switch res.OS {

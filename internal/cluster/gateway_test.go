@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/osid"
+	"repro/internal/workload"
 )
 
 // Unit tests for the Gateway view the controller decides from.
@@ -154,6 +157,89 @@ func TestSideInfoCarriesSwitchLatencyEstimate(t *testing.T) {
 	for _, os := range []osid.OS{osid.Linux, osid.Windows} {
 		if got, want := c.SideInfo(os).SwitchLatency, c.SwitchLatencyEstimate(os); got != want || got <= 0 {
 			t.Fatalf("%s switch latency = %v, want %v (>0)", os, got, want)
+		}
+	}
+}
+
+// scanSide is the O(nodes) census SideInfo used to take: nodes booted
+// into the side, and those among them nodeIdle accepts.
+func scanSide(c *Cluster, os osid.OS) (total, idle int) {
+	for _, n := range c.nodes {
+		if n.OS != os || n.Switching {
+			continue
+		}
+		total++
+		if c.nodeIdle(n) {
+			idle++
+		}
+	}
+	return total, idle
+}
+
+// TestSideInfoMatchesScan drives clusters of every mode through random
+// job submissions, forced switches, reimages, injected boot failures
+// and administrative offline/online on either scheduler, and requires
+// SideInfo's maintained census to equal the node scan after each step.
+// An administrator returns a node to service only on the side it is
+// booted into; bringing up a node booted elsewhere is not a state the
+// cluster can reach.
+func TestSideInfoMatchesScan(t *testing.T) {
+	for _, mode := range []Mode{HybridV1, HybridV2, Static, MonoStable} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c := newCluster(t, Config{Mode: mode, Nodes: 12, InitialLinux: 6, Seed: seed,
+				Cycle: 5 * time.Minute, BootFailureProb: 0.15})
+			names := make([]string, len(c.nodes))
+			for i, n := range c.nodes {
+				names[i] = n.HW.Name
+			}
+			for step := 0; step < 300; step++ {
+				name := names[rng.Intn(len(names))]
+				n := c.byName[name]
+				side := osid.Linux
+				if rng.Intn(2) == 0 {
+					side = osid.Windows
+				}
+				var what string
+				switch rng.Intn(6) {
+				case 0, 1:
+					what = "submit"
+					_, _ = c.Submit(workload.Job{App: "app", OS: side, Owner: "u",
+						Nodes: 1 + rng.Intn(3), PPN: 1 + rng.Intn(4),
+						Runtime: time.Duration(1+rng.Intn(90)) * time.Minute})
+				case 2:
+					what = "force switch " + name
+					_ = c.ForceSwitch(name, side)
+				case 3:
+					what = "reimage " + name
+					_, _ = c.ReimageWindows(name, rng.Intn(2) == 0)
+				case 4:
+					offline := rng.Intn(2) == 0
+					what = fmt.Sprintf("%s admin offline=%v %s", side, offline, name)
+					if !offline && n.OS != side {
+						break
+					}
+					if side == osid.Linux {
+						_ = c.PBS.SetNodeOffline(name, offline)
+					} else {
+						_ = c.Win.SetNodeOffline(name, offline)
+					}
+				default:
+					what = "run"
+					c.Eng.RunFor(time.Duration(rng.Intn(40)) * time.Minute)
+				}
+				for _, os := range []osid.OS{osid.Linux, osid.Windows} {
+					s := c.SideInfo(os)
+					total, idle := scanSide(c, os)
+					if s.TotalNodes != total || s.IdleNodes != idle {
+						t.Fatalf("%s seed %d step %d (%s): %s census %d/%d idle, scan %d/%d",
+							mode, seed, step, what, os, s.TotalNodes, s.IdleNodes, total, idle)
+					}
+				}
+			}
+			if c.BrokenCount() == 0 || c.Rec.Summarise(len(c.nodes)).Switches == 0 {
+				t.Fatalf("%s seed %d: no switches or boot failures exercised", mode, seed)
+			}
 		}
 	}
 }

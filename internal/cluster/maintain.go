@@ -68,7 +68,7 @@ func (c *Cluster) ReimageWindows(name string, repairLinux bool) (ReimageReport, 
 	if from.Valid() {
 		c.Rec.NodeDown(from)
 	}
-	n.OS = osid.None
+	c.setOS(n, osid.None)
 	n.HW.Power = hardware.PowerOff
 
 	winRep, err := deploy.DeployWindows(n.HW, dp)
@@ -146,7 +146,7 @@ func (c *Cluster) beginReimageBoot(n *Node) {
 		}
 		c.Eng.After(res.Latency, func() {
 			n.Switching = false
-			n.OS = res.OS
+			c.setOS(n, res.OS)
 			n.HW.BootedOS = res.OS
 			n.HW.Power = hardware.PowerOn
 			switch res.OS {

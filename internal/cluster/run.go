@@ -84,7 +84,7 @@ func (c *Cluster) Submit(j workload.Job) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		c.track(pj.ID, j)
+		c.track(&c.pbsRec, pj.SeqNo, pj.ID, j)
 		return pj.ID, nil
 	case osid.Windows:
 		spec := winhpc.JobSpec{
@@ -105,40 +105,45 @@ func (c *Cluster) Submit(j workload.Job) (string, error) {
 			return "", err
 		}
 		id := winJobID(wj.ID)
-		c.track(id, j)
+		c.track(&c.winRec, wj.ID, id, j)
 		return id, nil
 	default:
 		return "", fmt.Errorf("cluster: job %q has no valid OS", j.App)
 	}
 }
 
-func (c *Cluster) track(id string, j workload.Job) {
-	c.Rec.JobSubmitted(id, j.OS, j.App, j.CPUs())
+// track records workload job id, scheduler job number n, and maps n to
+// its recorder handle in *recs (numbers in between are switch jobs).
+func (c *Cluster) track(recs *[]int32, n int, id string, j workload.Job) {
+	for len(*recs) < n {
+		*recs = append(*recs, -1)
+	}
+	(*recs)[n-1] = int32(c.Rec.JobSubmitted(id, j.OS, j.App, j.CPUs()))
 	c.arrived[j.OS] += j.CPUs()
-	c.submitted[id] = true
 	c.unfinished++
 }
 
 // ScheduleTrace arranges every job in the trace for submission at its
 // timestamp. A submission the scheduler rejects is counted — it
 // surfaces in Summary.SubmitFailures and fires the SubmitFailed hook —
-// so a run that "drains cleanly" cannot silently lose jobs.
+// so a run that "drains cleanly" cannot silently lose jobs. Jobs are
+// read from the trace as they come due, so the caller must not modify
+// it afterwards.
 func (c *Cluster) ScheduleTrace(trace workload.Trace) error {
 	if err := trace.Validate(); err != nil {
 		return err
 	}
-	for _, j := range trace {
-		j := j
-		c.toSubmit++
-		c.Eng.At(j.At, func() {
-			c.toSubmit--
-			if _, err := c.Submit(j); err != nil {
-				c.Rec.SubmitFailed()
-				c.notifySubmitFailed(j, err)
-				c.logf("submit %s failed: %v", j.App, err)
-			}
-		})
-	}
+	c.toSubmit += len(trace)
+	c.Rec.Grow(len(trace))
+	c.Eng.Stream(len(trace), func(k int) time.Duration { return trace[k].At }, func(k int) {
+		c.toSubmit--
+		j := trace[k]
+		if _, err := c.Submit(j); err != nil {
+			c.Rec.SubmitFailed()
+			c.notifySubmitFailed(j, err)
+			c.logf("submit %s failed: %v", j.App, err)
+		}
+	})
 	return nil
 }
 

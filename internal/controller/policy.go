@@ -30,7 +30,7 @@ type SideState struct {
 	Report detector.Report
 
 	// Node accounting, maintained by the cluster:
-	TotalNodes   int // nodes booted into (or booting toward) this OS
+	TotalNodes   int // nodes booted into this OS; switching nodes count on neither side
 	IdleNodes    int // up with no busy CPUs
 	PendingAway  int // switch/reboot orders outstanding against this side
 	CoresPerNode int

@@ -272,18 +272,17 @@ func leastLoaded(members []*Member, os osid.OS) *Member {
 }
 
 // ScheduleTrace arranges routing for every job at its submission time.
+// Jobs are read from the trace as they come due, so the caller must not
+// modify it afterwards.
 func (g *Grid) ScheduleTrace(trace workload.Trace) error {
 	if err := trace.Validate(); err != nil {
 		return err
 	}
-	for _, j := range trace {
-		j := j
-		g.scheduled++
-		g.Eng.At(j.At, func() {
-			g.scheduled--
-			_, _ = g.Route(j) // drops are counted
-		})
-	}
+	g.scheduled += len(trace)
+	g.Eng.Stream(len(trace), func(k int) time.Duration { return trace[k].At }, func(k int) {
+		g.scheduled--
+		_, _ = g.Route(trace[k]) // drops are counted
+	})
 	return nil
 }
 

@@ -7,6 +7,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -80,8 +81,7 @@ type Recorder struct {
 	upNodeNS   [osSlots]float64 // ∫ nodes-up dt
 	switchNS   float64          // ∫ nodes-switching dt
 
-	jobs        map[string]*JobRecord
-	order       []string
+	jobs        []JobRecord // by handle: submission order
 	switches    []SwitchRecord
 	inFlight    map[string]*SwitchRecord
 	seenSwitch  int
@@ -94,7 +94,6 @@ func NewRecorder(now func() time.Duration, totalCores int) *Recorder {
 	return &Recorder{
 		now:        now,
 		totalCores: totalCores,
-		jobs:       map[string]*JobRecord{},
 		inFlight:   map[string]*SwitchRecord{},
 	}
 }
@@ -119,23 +118,34 @@ func (r *Recorder) advance() {
 	r.last = now
 }
 
-// JobSubmitted records a submission.
-func (r *Recorder) JobSubmitted(id string, os osid.OS, app string, cpus int) {
+// JobSubmitted records a submission and returns the job's handle for
+// the lifecycle calls below. Handles are dense, in submission order.
+func (r *Recorder) JobSubmitted(id string, os osid.OS, app string, cpus int) int {
 	r.advance()
-	if _, dup := r.jobs[id]; dup {
-		return
+	r.jobs = append(r.jobs, JobRecord{ID: id, OS: os, App: app, CPUs: cpus, Submitted: r.now()})
+	return len(r.jobs) - 1
+}
+
+// Grow reserves room for n more job records, so a run that knows its
+// trace length does not copy the record table as it grows.
+func (r *Recorder) Grow(n int) { r.jobs = slices.Grow(r.jobs, n) }
+
+// job resolves a handle; an out-of-range one yields nil, so events
+// for jobs the recorder never saw are ignored.
+func (r *Recorder) job(h int) *JobRecord {
+	if h < 0 || h >= len(r.jobs) {
+		return nil
 	}
-	r.jobs[id] = &JobRecord{ID: id, OS: os, App: app, CPUs: cpus, Submitted: r.now()}
-	r.order = append(r.order, id)
+	return &r.jobs[h]
 }
 
 // JobStarted records a start and begins busy-core integration. A
 // restart after a requeue (see JobInterrupted) resumes integration
 // but keeps the first Started — first-start wait semantics.
-func (r *Recorder) JobStarted(id string) {
+func (r *Recorder) JobStarted(h int) {
 	r.advance()
-	j, ok := r.jobs[id]
-	if !ok || j.running {
+	j := r.job(h)
+	if j == nil || j.running {
 		return
 	}
 	if !j.everStarted {
@@ -154,10 +164,10 @@ func (r *Recorder) JobStarted(id string) {
 // integration stops until the job is started again; without this the
 // lost attempt would keep inflating utilisation while the job sat
 // queued.
-func (r *Recorder) JobInterrupted(id string) {
+func (r *Recorder) JobInterrupted(h int) {
 	r.advance()
-	j, ok := r.jobs[id]
-	if !ok || !j.running {
+	j := r.job(h)
+	if j == nil || !j.running {
 		return
 	}
 	j.running = false
@@ -169,10 +179,10 @@ func (r *Recorder) JobInterrupted(id string) {
 }
 
 // JobEnded records completion and releases busy cores.
-func (r *Recorder) JobEnded(id string, completed bool) {
+func (r *Recorder) JobEnded(h int, completed bool) {
 	r.advance()
-	j, ok := r.jobs[id]
-	if !ok {
+	j := r.job(h)
+	if j == nil {
 		return
 	}
 	j.Ended = r.now()
@@ -317,8 +327,8 @@ func (r *Recorder) Summarise(totalNodes int) Summary {
 		s.UtilisationOS[os] = r.busyCoreNS[os] / denom
 	}
 	s.Utilisation = busyTotal / denom
-	for _, id := range r.order {
-		j := r.jobs[id]
+	for i := range r.jobs {
+		j := &r.jobs[i]
 		s.JobsSubmitted[j.OS]++
 		if j.Completed {
 			s.JobsCompleted[j.OS]++
@@ -436,13 +446,7 @@ func Aggregate(parts []Summary) Summary {
 }
 
 // Jobs returns job records in submission order.
-func (r *Recorder) Jobs() []JobRecord {
-	out := make([]JobRecord, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, *r.jobs[id])
-	}
-	return out
-}
+func (r *Recorder) Jobs() []JobRecord { return append([]JobRecord(nil), r.jobs...) }
 
 // Switches returns completed switch records.
 func (r *Recorder) Switches() []SwitchRecord {
@@ -463,14 +467,18 @@ type AppStat struct {
 // AppStats digests completed jobs per application — the Table-I view
 // of a run. Results are sorted by application name.
 func (r *Recorder) AppStats() []AppStat {
-	acc := map[string]*AppStat{}
-	waitSums := map[string]*durSum{}
-	for _, id := range r.order {
-		j := r.jobs[id]
+	type appOS struct {
+		app string
+		os  osid.OS
+	}
+	acc := map[appOS]*AppStat{}
+	waitSums := map[appOS]*durSum{}
+	for i := range r.jobs {
+		j := &r.jobs[i]
 		if !j.Completed {
 			continue
 		}
-		key := j.App + "/" + j.OS.String()
+		key := appOS{j.App, j.OS}
 		st, ok := acc[key]
 		if !ok {
 			st = &AppStat{App: j.App, OS: j.OS, ShortestWait: time.Duration(1<<62 - 1)}
@@ -512,8 +520,7 @@ func (r *Recorder) AppStats() []AppStat {
 // completed jobs on a side (p in [0,100]).
 func (r *Recorder) WaitPercentile(os osid.OS, p float64) time.Duration {
 	var waits []time.Duration
-	for _, id := range r.order {
-		j := r.jobs[id]
+	for _, j := range r.jobs {
 		if j.Completed && (os == osid.None || j.OS == os) {
 			waits = append(waits, j.Wait())
 		}

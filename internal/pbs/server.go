@@ -3,6 +3,8 @@ package pbs
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/sched"
@@ -81,7 +83,6 @@ type Server struct {
 	domain string
 
 	core     *sched.Core
-	jobs     map[string]*Job
 	list     []*Job // by core handle: submission order, SeqNo-1
 	nodes    map[string]*Node
 	nodeList []*Node // by core node index: registration order
@@ -125,7 +126,6 @@ func NewServer(eng *simtime.Engine, fqdn string) *Server {
 	s := &Server{
 		eng:          eng,
 		domain:       fqdn,
-		jobs:         make(map[string]*Job),
 		nodes:        make(map[string]*Node),
 		queues:       make(map[string]*Queue),
 		defaultQueue: "default",
@@ -312,7 +312,6 @@ func (s *Server) Qsub(req SubmitRequest) (*Job, error) {
 		Exec:       req.Exec,
 		OnEnd:      req.OnEnd,
 	}
-	s.jobs[j.ID] = j
 	s.list = append(s.list, j)
 	// The projected end bounds when the job releases its slots: the
 	// walltime contract when given (it is killed there at the latest),
@@ -344,9 +343,9 @@ func (s *Server) QsubScript(script, owner string, runtime time.Duration, exec fu
 // Qdel removes a queued or held job or kills a running one. Either way
 // the job ends killed and the end hooks fire.
 func (s *Server) Qdel(id string) error {
-	j, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("pbs: unknown job %s", id)
+	j, err := s.Job(id)
+	if err != nil {
+		return err
 	}
 	switch j.State {
 	case StateQueued, StateHeld:
@@ -362,9 +361,9 @@ func (s *Server) Qdel(id string) error {
 // Qhold places a user hold on a queued job (state H); held jobs are
 // not scheduled. Running jobs cannot be held in this model.
 func (s *Server) Qhold(id string) error {
-	j, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("pbs: unknown job %s", id)
+	j, err := s.Job(id)
+	if err != nil {
+		return err
 	}
 	if j.State != StateQueued {
 		return fmt.Errorf("pbs: qhold: job %s is %s, not queued", id, j.State)
@@ -376,9 +375,9 @@ func (s *Server) Qhold(id string) error {
 
 // Qrls releases a held job back to the queue.
 func (s *Server) Qrls(id string) error {
-	j, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("pbs: unknown job %s", id)
+	j, err := s.Job(id)
+	if err != nil {
+		return err
 	}
 	if j.State != StateHeld {
 		return fmt.Errorf("pbs: qrls: job %s is %s, not held", id, j.State)
@@ -389,13 +388,15 @@ func (s *Server) Qrls(id string) error {
 	return nil
 }
 
-// Job returns a job by ID.
+// Job returns a job by ID. The sequence number before the first dot
+// indexes the job list; the ID must then match exactly, so "01.<fqdn>"
+// or a foreign domain is as unknown as a number never issued.
 func (s *Server) Job(id string) (*Job, error) {
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("pbs: unknown job %s", id)
+	seq, _, _ := strings.Cut(id, ".")
+	if n, err := strconv.Atoi(seq); err == nil && n >= 1 && n <= len(s.list) && s.list[n-1].ID == id {
+		return s.list[n-1], nil
 	}
-	return j, nil
+	return nil, fmt.Errorf("pbs: unknown job %s", id)
 }
 
 // Jobs returns all jobs in submission order.
@@ -422,12 +423,13 @@ type Stats struct {
 	Running    int // jobs in state R
 	Queued     int // jobs in state Q
 	QueuedCPUs int // total CPUs requested by state-Q jobs
+	IdleNodes  int // free nodes with no CPU in use
 }
 
 // QueueStats returns the maintained census counters.
 func (s *Server) QueueStats() Stats {
 	n := s.core.Census()
-	return Stats{Running: n.Running, Queued: n.Waiting, QueuedCPUs: n.WaitCores}
+	return Stats{Running: n.Running, Queued: n.Waiting, QueuedCPUs: n.WaitCores, IdleNodes: n.IdleNodes}
 }
 
 // FirstQueued returns the oldest job in state Q, or nil when the queue

@@ -1,6 +1,7 @@
 package pbs
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -438,4 +439,57 @@ func TestWaitTimes(t *testing.T) {
 	if b.QTime != 0 {
 		t.Fatalf("b qtime = %v", b.QTime)
 	}
+}
+
+// Job IDs resolve through the job list by sequence number and then
+// must match exactly: a malformed number, one never issued, or a
+// foreign domain is an unknown job for every call that takes an ID.
+func TestJobIDLookupIsExact(t *testing.T) {
+	eng, s := newTestServer(t, 1)
+	var jobs []*Job
+	for i := 0; i < 3; i++ {
+		j, err := s.Qsub(SubmitRequest{Name: "w", Nodes: 1, PPN: 4, Runtime: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	eng.RunUntil(time.Minute) // job 1 runs, 2 and 3 queue
+	fqdn := s.Name()
+	calls := []struct {
+		name string
+		call func(string) error
+	}{
+		{"Job", func(id string) error { _, err := s.Job(id); return err }},
+		{"Qdel", s.Qdel},
+		{"Qhold", s.Qhold},
+		{"Qrls", s.Qrls},
+	}
+	for _, bad := range []string{"", "x", "0." + fqdn, "01." + fqdn, "+1." + fqdn,
+		"4." + fqdn, "1.other.domain"} {
+		for _, c := range calls {
+			if err := c.call(bad); err == nil || !strings.Contains(err.Error(), "unknown job") {
+				t.Errorf("%s(%q) = %v, want an unknown-job error", c.name, bad, err)
+			}
+		}
+	}
+	for _, j := range jobs {
+		if got, err := s.Job(j.ID); err != nil || got != j {
+			t.Fatalf("Job(%q) = %v, %v", j.ID, got, err)
+		}
+	}
+	for _, j := range jobs[1:] {
+		if err := s.Qhold(j.ID); err != nil {
+			t.Fatalf("Qhold(%q): %v", j.ID, err)
+		}
+		if err := s.Qrls(j.ID); err != nil {
+			t.Fatalf("Qrls(%q): %v", j.ID, err)
+		}
+	}
+	for _, j := range jobs {
+		if err := s.Qdel(j.ID); err != nil || j.State != StateComplete {
+			t.Fatalf("Qdel(%q) = %v, state %v", j.ID, err, j.State)
+		}
+	}
+	eng.Run()
 }

@@ -53,6 +53,7 @@ type Census struct {
 	WaitWhole int // whole nodes waiting jobs ask for
 	UpNodes   int // schedulable nodes
 	UpCores   int // capacity of schedulable nodes
+	IdleNodes int // schedulable nodes with nothing granted
 }
 
 const (
@@ -222,6 +223,7 @@ func (c *Core) refresh(i int) {
 func (c *Core) Census() Census {
 	n := c.n
 	n.Running = len(c.run)
+	n.IdleNodes = c.idleN
 	return n
 }
 

@@ -1,7 +1,8 @@
 package simtime
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -125,12 +126,8 @@ func (c *calendar) next(consume bool) *event {
 				continue
 			}
 			if !b.sorted {
-				tail := b.evs[b.head:]
-				sort.Slice(tail, func(i, j int) bool {
-					if tail[i].due != tail[j].due {
-						return tail[i].due < tail[j].due
-					}
-					return tail[i].seq < tail[j].seq
+				slices.SortFunc(b.evs[b.head:], func(x, y *event) int {
+					return cmp.Or(cmp.Compare(x.due, y.due), cmp.Compare(x.seq, y.seq))
 				})
 				b.sorted = true
 			}

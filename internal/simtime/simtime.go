@@ -28,6 +28,7 @@ type event struct {
 	dead       bool
 	background bool
 	eng        *Engine
+	timer      Timer // At's handle, allocated with the event
 }
 
 // Timer is a handle to a scheduled event that can be cancelled.
@@ -110,13 +111,50 @@ func (e *Engine) at(t time.Duration, fn func(), background bool) *Timer {
 		panic(fmt.Sprintf("simtime: scheduling at %v before now %v", t, e.now))
 	}
 	ev := &event{due: t, seq: e.seq, fn: fn, background: background, eng: e}
+	ev.timer.ev = ev
 	e.seq++
 	e.live++
 	if !background {
 		e.foreground++
 	}
 	e.queue.push(ev)
-	return &Timer{ev: ev}
+	return &ev.timer
+}
+
+// Stream schedules n foreground calls fire(0), …, fire(n-1), call k at
+// virtual time at(k); at must be non-decreasing in k. The calls pop in
+// exactly the (due, seq) order of n At calls made here — the n
+// sequence numbers are reserved now and all n calls count as pending
+// at once — but the calendar holds a single event, re-armed for call
+// k+1 when call k fires, so a long trace costs one event rather than
+// one closure and one queue entry per call.
+func (e *Engine) Stream(n int, at func(k int) time.Duration, fire func(k int)) {
+	if n <= 0 {
+		return
+	}
+	base := e.seq
+	e.seq += uint64(n)
+	e.live += n
+	e.foreground += n
+	ev := new(event)
+	k := 0
+	var next func()
+	arm := func() {
+		t := at(k)
+		if t < e.now {
+			panic(fmt.Sprintf("simtime: scheduling at %v before now %v", t, e.now))
+		}
+		ev.due, ev.seq, ev.fn, ev.dead = t, base+uint64(k), next, false
+		e.queue.push(ev)
+	}
+	next = func() {
+		i := k
+		if k++; k < n {
+			arm()
+		}
+		fire(i)
+	}
+	arm()
 }
 
 // After schedules fn d after the current virtual time. Negative d is

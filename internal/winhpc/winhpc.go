@@ -495,6 +495,7 @@ type QueueSnapshot struct {
 	NeededCores  int    // cores the queue head requires
 	OnlineCores  int
 	PendingCores int // total cores requested by all queued jobs
+	IdleNodes    int // online nodes with no core allocated
 }
 
 // Snapshot builds the queue view from the maintained counters — O(1)
@@ -507,6 +508,7 @@ func (s *Scheduler) Snapshot() QueueSnapshot {
 		Running:      n.Running,
 		Queued:       n.Waiting,
 		PendingCores: n.WaitCores + n.WaitWhole*cpn,
+		IdleNodes:    n.IdleNodes,
 	}
 	// The queue head follows scheduling order (priority first), since
 	// that is the job whose demand a dual-boot controller must satisfy.
