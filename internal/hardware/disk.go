@@ -265,21 +265,26 @@ func (d *Disk) Partitions() []*Partition {
 	return out
 }
 
-// Partition returns the partition with the given 1-based index.
-func (d *Disk) Partition(index int) (*Partition, error) {
+// find returns the partition with the given 1-based index, or nil.
+func (d *Disk) find(index int) *Partition {
 	for _, p := range d.parts {
 		if p.Index == index {
-			return p, nil
+			return p
 		}
+	}
+	return nil
+}
+
+// Partition returns the partition with the given 1-based index.
+func (d *Disk) Partition(index int) (*Partition, error) {
+	if p := d.find(index); p != nil {
+		return p, nil
 	}
 	return nil, fmt.Errorf("hardware: no partition %d", index)
 }
 
 // HasPartition reports whether the index is allocated.
-func (d *Disk) HasPartition(index int) bool {
-	_, err := d.Partition(index)
-	return err == nil
-}
+func (d *Disk) HasPartition(index int) bool { return d.find(index) != nil }
 
 // UsedMB returns the space consumed by all partitions.
 func (d *Disk) UsedMB() int64 {

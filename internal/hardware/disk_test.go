@@ -372,3 +372,18 @@ func TestQuickFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPartitionLookupMisses: a missing index is an error naming it for
+// Partition and plain false for HasPartition.
+func TestPartitionLookupMisses(t *testing.T) {
+	d := NewDisk(1000)
+	if _, err := d.AddPartition(2, 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Partition(3); err == nil || err.Error() != "hardware: no partition 3" {
+		t.Fatalf("Partition(3) error = %v", err)
+	}
+	if d.HasPartition(3) || !d.HasPartition(2) {
+		t.Fatalf("HasPartition(3) = %v, HasPartition(2) = %v", d.HasPartition(3), d.HasPartition(2))
+	}
+}

@@ -14,6 +14,7 @@
 package oscar
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -59,11 +60,38 @@ type Image struct {
 	// ManualPatches lists the hand edits the administrator must redo
 	// on every rebuild of this image (empty for v2).
 	ManualPatches []string
+
+	// files is what every node receives, rendered once by BuildImage;
+	// a hand-built Image renders it per deployment.
+	files *imageFiles
+}
+
+// imageFiles is an image's rendered per-node content: the /boot menu,
+// the control menus staged for Linux and Windows (v1 writes them to
+// its FAT partition) and the root filesystem's package paths.
+type imageFiles struct {
+	menu, toLinux, toWindows []byte
+	pkgPaths                 []string
+}
+
+// render produces the files the image writes on every node.
+func (img *Image) render() (*imageFiles, error) {
+	menu, err := bootMenu(img)
+	toLinux, errL := grubcfg.ControlMenu(img.Kernel, img.Windows, osid.Linux)
+	toWindows, errW := grubcfg.ControlMenu(img.Kernel, img.Windows, osid.Windows)
+	if err := errors.Join(err, errL, errW); err != nil {
+		return nil, err
+	}
+	f := &imageFiles{menu: menu.Render(), toLinux: toLinux.Render(), toWindows: toWindows.Render()}
+	for _, pkg := range img.Packages {
+		f.pkgPaths = append(f.pkgPaths, "/opt/oscar/packages/"+pkg)
+	}
+	return f, nil
 }
 
 // BuildImage validates a layout and constructs an image for the given
 // middleware generation.
-func BuildImage(name string, version Version, layout *deploy.Layout) (*Image, error) {
+func BuildImage(name string, version Version, layout *deploy.Layout) (img *Image, err error) {
 	if name == "" {
 		return nil, fmt.Errorf("oscar: image needs a name")
 	}
@@ -71,7 +99,7 @@ func BuildImage(name string, version Version, layout *deploy.Layout) (*Image, er
 	if boot == 0 {
 		return nil, fmt.Errorf("oscar: layout has no bootable partition")
 	}
-	img := &Image{
+	img = &Image{
 		Name:     name,
 		Version:  version,
 		Layout:   layout,
@@ -98,6 +126,9 @@ func BuildImage(name string, version Version, layout *deploy.Layout) (*Image, er
 		}
 	} else if !layout.HasSkip() {
 		return nil, fmt.Errorf("oscar: v2 image needs a skip-labelled Windows partition")
+	}
+	if img.files, err = img.render(); err != nil {
+		return nil, err
 	}
 	return img, nil
 }
@@ -130,20 +161,29 @@ func DeployNode(node *hardware.Node, img *Image) (DeployReport, error) {
 	var rep DeployReport
 	disk := node.Disk
 	rep.ManualSteps = len(img.ManualPatches)
+	files, err := img.files, error(nil)
+	if files == nil {
+		files, err = img.render()
+	}
+	if err != nil {
+		return rep, err
+	}
 
 	hadWindows := false
 	if p, err := disk.Partition(1); err == nil && p.Type == hardware.FSNTFS && p.HasFile(deploy.WindowsBootFile) {
 		hadWindows = true
 	}
 
-	for _, e := range img.Layout.Partitions() {
+	for _, e := range img.Layout.Entries {
+		if e.Kind != deploy.KindPartition {
+			continue
+		}
 		preserve := e.Skip() || e.TypeName == "ntfs"
-		if existing, err := disk.Partition(e.Index); err == nil {
+		if disk.HasPartition(e.Index) {
 			if preserve {
 				rep.PartitionsPreserved++
 				continue
 			}
-			_ = existing
 			if err := disk.DeletePartition(e.Index); err != nil {
 				return rep, err
 			}
@@ -159,7 +199,7 @@ func DeployNode(node *hardware.Node, img *Image) (DeployReport, error) {
 		}
 		p.Format(fsTypeFor(e.TypeName))
 		p.Bootable = e.Bootable
-		if err := populatePartition(p, e, img); err != nil {
+		if err := populatePartition(p, e, img, files); err != nil {
 			return rep, err
 		}
 	}
@@ -179,7 +219,7 @@ func DeployNode(node *hardware.Node, img *Image) (DeployReport, error) {
 }
 
 // populatePartition writes the simulated system contents.
-func populatePartition(p *hardware.Partition, e deploy.LayoutEntry, img *Image) error {
+func populatePartition(p *hardware.Partition, e deploy.LayoutEntry, img *Image, files *imageFiles) error {
 	switch {
 	case e.Bootable: // /boot: kernel, initrd, GRUB config
 		if err := p.WriteFile(img.Kernel.KernelPath, []byte("bzImage")); err != nil {
@@ -190,28 +230,17 @@ func populatePartition(p *hardware.Partition, e deploy.LayoutEntry, img *Image) 
 				return err
 			}
 		}
-		menu, err := bootMenu(img)
-		if err != nil {
-			return err
-		}
-		if err := p.WriteFile("/grub/menu.lst", menu.Render()); err != nil {
+		if err := p.WriteFile("/grub/menu.lst", files.menu); err != nil {
 			return err
 		}
 	case e.TypeName == "fat": // v1 shared control partition
-		for _, target := range []osid.OS{osid.Linux, osid.Windows} {
-			cfg, err := grubcfg.ControlMenu(img.Kernel, img.Windows, target)
-			if err != nil {
-				return err
-			}
-			if err := p.WriteFile(grubcfg.StagedControlFileName(target), cfg.Render()); err != nil {
-				return err
-			}
-		}
-		live, err := grubcfg.ControlMenu(img.Kernel, img.Windows, osid.Linux)
-		if err != nil {
+		if err := p.WriteFile(grubcfg.StagedControlFileName(osid.Linux), files.toLinux); err != nil {
 			return err
 		}
-		if err := p.WriteFile(grubcfg.ControlFileName, live.Render()); err != nil {
+		if err := p.WriteFile(grubcfg.StagedControlFileName(osid.Windows), files.toWindows); err != nil {
+			return err
+		}
+		if err := p.WriteFile(grubcfg.ControlFileName, files.toLinux); err != nil {
 			return err
 		}
 		// Carter's universal switch script ships on the partition too.
@@ -222,8 +251,8 @@ func populatePartition(p *hardware.Partition, e deploy.LayoutEntry, img *Image) 
 		if err := p.WriteFile(LinuxReleaseFile, []byte("CentOS release 5.4 (Final)")); err != nil {
 			return err
 		}
-		for _, pkg := range img.Packages {
-			if err := p.WriteFile("/opt/oscar/packages/"+pkg, []byte(pkg)); err != nil {
+		for i, pkg := range img.Packages {
+			if err := p.WriteFile(files.pkgPaths[i], []byte(pkg)); err != nil {
 				return err
 			}
 		}

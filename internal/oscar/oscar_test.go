@@ -1,6 +1,7 @@
 package oscar
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -280,5 +281,58 @@ func TestGenerateMasterScript(t *testing.T) {
 func TestVersionString(t *testing.T) {
 	if V1.String() != "dualboot-oscar-1.0" || V2.String() != "dualboot-oscar-2.0" {
 		t.Fatal("version strings wrong")
+	}
+}
+
+// TestBuiltImageWritesFreshRenders: deploying a built image, whose
+// files are rendered once, writes the boot menu, the v1 control menus
+// and the package files exactly as rendering them afresh would.
+func TestBuiltImageWritesFreshRenders(t *testing.T) {
+	for _, tc := range []struct {
+		version Version
+		layout  *deploy.Layout
+	}{{V1, layoutV1(t)}, {V2, layoutV2(t)}} {
+		img, err := BuildImage("oscarimage", tc.version, tc.layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := hardware.NewNode(hardware.NodeSpec{Index: 1})
+		if _, err := DeployNode(n, img); err != nil {
+			t.Fatal(err)
+		}
+		check := func(part int, path string, want []byte) {
+			t.Helper()
+			p, err := n.Disk.Partition(part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := p.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s %s on partition %d: %q (%v), want %q", tc.version, path, part, got, err, want)
+			}
+		}
+		menu, err := bootMenu(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(tc.layout.BootPartition(), "/grub/menu.lst", menu.Render())
+		if fat := fatPartition(tc.layout); fat != 0 {
+			for _, target := range []osid.OS{osid.Linux, osid.Windows} {
+				cfg, err := grubcfg.ControlMenu(img.Kernel, img.Windows, target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fat, grubcfg.StagedControlFileName(target), cfg.Render())
+				if target == osid.Linux {
+					check(fat, grubcfg.ControlFileName, cfg.Render())
+				}
+			}
+		}
+		for _, e := range tc.layout.Partitions() {
+			if e.MountPoint == "/" {
+				for _, pkg := range DefaultPackages {
+					check(e.Index, "/opt/oscar/packages/"+pkg, []byte(pkg))
+				}
+			}
+		}
 	}
 }

@@ -69,6 +69,7 @@ type job struct {
 	hold    time.Duration // upper bound on how long a start holds its grants
 	end     time.Duration // projected release of the current start
 	d       Demand
+	shape   int32 // d's index in the shape table
 	run     int32 // slot in the running ledger while running
 	state   uint8
 	inQueue bool // an entry, live or stale, sits in the queue ledger
@@ -139,6 +140,21 @@ type Core struct {
 
 	n Census
 
+	// shapes interns submitted demands; waitN counts waiting jobs per shape.
+	shapes  []Demand
+	shapeOf map[Demand]int32
+	waitN   []int
+
+	// gen moves whenever the trees, the waiting set or the reservation
+	// may have changed, and starts at 1 so no memo matches its zero.
+	// rejected[s] is the gen at which a long candidate of shape s failed
+	// the reservation test: at the same gen every such candidate gets the
+	// same grants and verdict. isOpen was derived at gen openGen.
+	gen      uint64
+	rejected []uint64
+	openGen  uint64
+	isOpen   bool
+
 	pending bool
 	passFn  func()
 
@@ -153,7 +169,7 @@ type Core struct {
 // for one pass without blocking the rest; start runs once the core has
 // granted a job its cores and moved it to the running ledger.
 func New(eng *simtime.Engine, backfill *bool, eligible func(h int) bool, start func(h int, g []Grant)) *Core {
-	c := &Core{eng: eng, backfill: backfill, eligible: eligible, onStart: start}
+	c := &Core{eng: eng, backfill: backfill, eligible: eligible, onStart: start, shapeOf: map[Demand]int32{}, gen: 1}
 	c.passFn = c.runPass
 	return c
 }
@@ -199,6 +215,7 @@ func (c *Core) Used(i int) int { return c.nodes[i].used }
 // refresh re-derives node i's tree leaves, their sums and the atLeast
 // census after a grant or availability change.
 func (c *Core) refresh(i int) {
+	c.gen++
 	n := &c.nodes[i]
 	f, idle, was := 0, 0, c.Free(i)
 	if n.up {
@@ -230,14 +247,23 @@ func (c *Core) Census() Census {
 // Submit enters a job into the queue ledger at its key's position and
 // returns its handle. Keys must be unique.
 func (c *Core) Submit(key int64, hold time.Duration, d Demand) int {
-	c.jobs = append(c.jobs, job{key: key, hold: hold, d: d})
+	s, ok := c.shapeOf[d]
+	if !ok {
+		s = int32(len(c.shapes))
+		c.shapeOf[d] = s
+		c.shapes, c.waitN, c.rejected = append(c.shapes, d), append(c.waitN, 0), append(c.rejected, 0)
+	}
+	c.jobs = append(c.jobs, job{key: key, hold: hold, d: d, shape: s})
 	h := len(c.jobs) - 1
 	c.enqueue(h)
 	return h
 }
 
-// count adds sign times d to the waiting census.
-func (c *Core) count(d Demand, sign int) {
+// count adds sign times job h's demand to the waiting census.
+func (c *Core) count(h, sign int) {
+	d := c.jobs[h].d
+	c.gen++
+	c.waitN[c.jobs[h].shape] += sign
 	c.n.Waiting += sign
 	c.n.WaitCores += sign * (d.Nodes*d.PPN + d.Cores)
 	if d.PPN == 0 {
@@ -255,7 +281,7 @@ func (c *Core) search(key int64) int {
 func (c *Core) enqueue(h int) {
 	j := &c.jobs[h]
 	j.state = waiting
-	c.count(j.d, 1)
+	c.count(h, 1)
 	if j.inQueue {
 		c.dead--
 		c.head = min(c.head, c.search(j.key))
@@ -272,13 +298,13 @@ func (c *Core) enqueue(h int) {
 
 // Hold keeps waiting job h in the queue but out of passes.
 func (c *Core) Hold(h int) {
-	c.count(c.jobs[h].d, -1)
+	c.count(h, -1)
 	c.jobs[h].state = held
 }
 
 // Unhold makes held job h waiting again.
 func (c *Core) Unhold(h int) {
-	c.count(c.jobs[h].d, 1)
+	c.count(h, 1)
 	c.jobs[h].state = waiting
 }
 
@@ -286,7 +312,7 @@ func (c *Core) Unhold(h int) {
 func (c *Core) Dequeue(h int) {
 	j := &c.jobs[h]
 	if j.state == waiting {
-		c.count(j.d, -1)
+		c.count(h, -1)
 	}
 	j.state = gone
 	c.dead++
@@ -406,20 +432,27 @@ func (c *Core) runPass() {
 // front end finds ineligible are skipped without blocking the rest.
 // The bound snapshots the queue, so jobs submitted by a start callback
 // wait for the next pass.
+// Behind the pivot the pass ends once no waiting shape passes its
+// census, and skips a long candidate whose shape already failed the
+// reservation test at the same generation.
 func (c *Core) pass() {
 	c.compact()
 	c.advance()
 	pivot := -1
-	for k, bound := c.head, len(c.queue); k < bound; k++ {
+	for k, bound := c.head, len(c.queue); k < bound && (pivot < 0 || c.open()); k++ {
 		h := int(c.queue[k])
 		if c.jobs[h].state != waiting {
 			continue
 		}
 		if pivot >= 0 {
+			long := c.rsv.ok && c.eng.Now()+c.jobs[h].hold > c.rsv.shadow
+			if long && c.rejected[c.jobs[h].shape] == c.gen {
+				continue
+			}
 			// Most candidates behind a pivot do not fit, and choose's
 			// census says so before the front end is asked.
-			if g := c.choose(c.jobs[h].d); g != nil && c.allowed(h) {
-				c.backfillStart(h, g, c.jobs[pivot].d)
+			if g := c.choose(c.jobs[h].d); g != nil && c.allowed(h) && !c.backfillStart(h, g, c.jobs[pivot].d, long) {
+				c.rejected[c.jobs[h].shape] = c.gen
 			}
 			continue
 		}
@@ -454,15 +487,11 @@ func (c *Core) TryStart(h int) bool {
 // census allows, so a tree walk always ends in grants. The slice is
 // reused by the next call.
 func (c *Core) choose(d Demand) []Grant {
-	tree, want := &c.free, max(d.PPN, 1)
-	switch {
-	case d.Nodes == 0:
-		if c.freeTotal < d.Cores {
-			return nil
-		}
-	case c.fitting(d) < d.Nodes:
+	if !c.census(d) {
 		return nil
-	case d.PPN == 0:
+	}
+	tree, want := &c.free, max(d.PPN, 1)
+	if d.Nodes > 0 && d.PPN == 0 {
 		tree = &c.idle
 	}
 	g := c.gbuf[:0]
@@ -479,6 +508,30 @@ func (c *Core) choose(d Demand) []Grant {
 	}
 	c.gbuf = g
 	return g
+}
+
+// census reports whether d fits on the nodes as they are now.
+func (c *Core) census(d Demand) bool {
+	if d.Nodes == 0 {
+		return c.freeTotal >= d.Cores
+	}
+	return c.fitting(d) >= d.Nodes
+}
+
+// open reports whether some waiting job's shape passes its census,
+// re-derived only when the generation has moved. When none does,
+// nothing waiting can start.
+func (c *Core) open() bool {
+	if c.openGen != c.gen {
+		c.openGen, c.isOpen = c.gen, false
+		for s, n := range c.waitN {
+			if n > 0 && c.census(c.shapes[s]) {
+				c.isOpen = true
+				break
+			}
+		}
+	}
+	return c.isOpen
 }
 
 // fitting counts the up nodes that have the free cores node-shaped
@@ -503,7 +556,7 @@ func (c *Core) start(h int, g []Grant) {
 	}
 	j := &c.jobs[h]
 	j.state, j.end = running, c.eng.Now()+j.hold
-	c.count(j.d, -1)
+	c.count(h, -1)
 	c.dead++ // its queue entry is now stale
 	k := len(c.run)
 	if k < cap(c.run) {
@@ -588,6 +641,7 @@ func (c *Core) order() {
 // until d fits. Projected ends are upper bounds (walltime or known
 // runtime), so the pivot never starts later than its shadow time.
 func (c *Core) reserve(d Demand) {
+	c.gen++
 	r := &c.rsv
 	r.free = append(r.free[:0], c.free.t[c.free.size:][:len(c.nodes)]...)
 	r.fit, r.total, r.ok = c.fitting(d), c.freeTotal, false
@@ -610,13 +664,13 @@ func (c *Core) reserve(d Demand) {
 }
 
 // backfillStart starts candidate h on grants g behind a blocked pivot
-// if that cannot delay the pivot's booking: either h releases its
-// grants by the shadow time, or the pivot still fits at the shadow
-// time with g subtracted. Long candidates that pass stay subtracted,
-// so later candidates in the pass see the remaining slack only.
-func (c *Core) backfillStart(h int, g []Grant, pivot Demand) {
+// if that cannot delay the pivot's booking, and reports whether it did:
+// either h is not long (frees g by the shadow time), or the pivot still
+// fits at the shadow time with g subtracted. Long candidates that pass
+// stay subtracted, so later candidates see the remaining slack only.
+func (c *Core) backfillStart(h int, g []Grant, pivot Demand, long bool) bool {
 	r := &c.rsv
-	if r.ok && c.eng.Now()+c.jobs[h].hold > r.shadow {
+	if long {
 		for _, x := range g {
 			r.shift(x.Node, -x.N, pivot.per(c.nodes[x.Node].cap))
 		}
@@ -624,10 +678,11 @@ func (c *Core) backfillStart(h int, g []Grant, pivot Demand) {
 			for _, x := range g {
 				r.shift(x.Node, x.N, pivot.per(c.nodes[x.Node].cap))
 			}
-			return
+			return false
 		}
 	}
 	c.start(h, g)
+	return true
 }
 
 // maxTree is a max segment tree over node indices: nextFit jumps to
@@ -703,13 +758,13 @@ func (m *maxTree) nextFit(from, limit, want int) int {
 // Rebuild recomputes from scratch everything the core maintains
 // incrementally — the queue ledger and its cursor, the census, the
 // per-node grant counts, both trees, their sums and the atLeast census,
-// and the release order — from the jobs' states, the running jobs'
-// grants and projected ends, and the nodes' availability,
-// installs the result, and reports the first structure whose
-// incremental form differed. The twin-equivalence tests call it
-// before every pass.
+// the waiting jobs per shape, and the release order — from the jobs'
+// states, the running jobs' grants and projected ends, and the nodes'
+// availability, installs the result, moves the generation, and reports
+// the first structure whose incremental form differed. The
+// twin-equivalence tests call it before every pass.
 func (c *Core) Rebuild() error {
-	s := Core{jobs: c.jobs, nodes: make([]node, len(c.nodes)), atLeast: make([]int, len(c.atLeast))}
+	s := Core{jobs: c.jobs, nodes: make([]node, len(c.nodes)), atLeast: make([]int, len(c.atLeast)), waitN: make([]int, len(c.waitN))}
 	for i, n := range c.nodes {
 		s.nodes[i].cap = n.cap
 	}
@@ -724,7 +779,7 @@ func (c *Core) Rebuild() error {
 		if j.inQueue = j.queued(); j.inQueue {
 			s.queue = append(s.queue, int32(h))
 			if j.state == waiting {
-				s.count(j.d, 1)
+				s.count(h, 1)
 			}
 		}
 	}
@@ -756,7 +811,7 @@ func (c *Core) Rebuild() error {
 		return errors.New("sched: queue ledger drifted")
 	case nrun != len(c.run):
 		return errors.New("sched: running ledger drifted")
-	case c.n != s.n:
+	case c.n != s.n || !slices.Equal(c.waitN, s.waitN):
 		return errors.New("sched: census drifted")
 	case !slices.Equal(c.nodes, s.nodes):
 		return errors.New("sched: per-node grants drifted")
@@ -768,5 +823,6 @@ func (c *Core) Rebuild() error {
 	}
 	c.queue, c.dead, c.head = s.queue, 0, 0
 	c.free, c.idle = s.free, s.idle
+	c.gen++
 	return nil
 }

@@ -300,3 +300,213 @@ func TestReservationSkipsDrainedNodes(t *testing.T) {
 		t.Fatalf("reservation %+v, want shadow 2h on the node still up", c.rsv)
 	}
 }
+
+// referencePass is the EASY pass without the per-shape rejection memo
+// or the dead-census exit: every waiting candidate behind the pivot is
+// tested in full.
+func referencePass(c *Core) {
+	c.compact()
+	c.advance()
+	pivot := -1
+	for k, bound := c.head, len(c.queue); k < bound; k++ {
+		h := int(c.queue[k])
+		if c.jobs[h].state != waiting {
+			continue
+		}
+		if pivot >= 0 {
+			long := c.rsv.ok && c.eng.Now()+c.jobs[h].hold > c.rsv.shadow
+			if g := c.choose(c.jobs[h].d); g != nil && c.allowed(h) {
+				c.backfillStart(h, g, c.jobs[pivot].d, long)
+			}
+			continue
+		}
+		if !c.allowed(h) || c.TryStart(h) {
+			continue
+		}
+		if !*c.backfill {
+			return
+		}
+		pivot = h
+		c.reserve(c.jobs[h].d)
+	}
+}
+
+// scanOpen derives open from the jobs: whether some waiting job's
+// demand passes its census.
+func scanOpen(c *Core) bool {
+	for h := range c.jobs {
+		if c.jobs[h].state == waiting && c.census(c.jobs[h].d) {
+			return true
+		}
+	}
+	return false
+}
+
+// twin is one core of the reference-equivalence test and the log of
+// what its passes started.
+type twin struct {
+	eng    *simtime.Engine
+	c      *Core
+	passes int
+	log    []Grant // per start: {-1, handle}, then its grants
+}
+
+// newTwin builds a core whose front end vetoes a deterministic mix of
+// candidates per pass and, on some starts, requeues the oldest other
+// running job from inside the start callback. Both rules depend only
+// on the core's state, so two cores that agree so far keep agreeing.
+func newTwin(reference bool, sizes []int) *twin {
+	tw := &twin{eng: simtime.NewEngine()}
+	backfill := true
+	eligible := func(h int) bool { return (h*31+tw.passes)%7 != 0 }
+	tw.c = New(tw.eng, &backfill, eligible, func(h int, g []Grant) {
+		tw.log = append(append(tw.log, Grant{-1, h}), g...)
+		if h%9 == 4 {
+			if run := tw.c.Running(); len(run) > 1 && run[0] != h {
+				tw.c.Requeue(run[0])
+			}
+		}
+	})
+	tw.c.Override = func(pass func()) {
+		tw.passes++
+		tw.log = append(tw.log, Grant{-2, tw.passes})
+		if reference {
+			referencePass(tw.c)
+			return
+		}
+		pass()
+	}
+	for _, n := range sizes {
+		tw.c.AddNode(n, true)
+	}
+	return tw
+}
+
+// TestPassMatchesReference feeds the same random operations to a core
+// and to one running the exhaustive reference pass — mixed shapes and
+// holds, drains, holds, requeues from start callbacks and eligibility
+// vetoes — and requires the same starts and grants after every pass.
+// After every operation the dead-census cache must agree with a scan
+// of the waiting jobs.
+func TestPassMatchesReference(t *testing.T) {
+	sizes := []int{2, 4, 8, 4, 8, 4, 2, 8, 4, 4}
+	shapes := []Demand{{Nodes: 1, PPN: 1}, {Nodes: 1, PPN: 2}, {Nodes: 1, PPN: 4}, {Nodes: 2, PPN: 4},
+		{Nodes: 4, PPN: 4}, {Nodes: 3, PPN: 8}, {Nodes: 2}, {Cores: 3}, {Cores: 12}}
+	holds := []time.Duration{10 * time.Minute, time.Hour, 3 * time.Hour, 9 * time.Hour}
+	rng := rand.New(rand.NewSource(23))
+	fast, ref := newTwin(false, sizes), newTwin(true, sizes)
+	both := func(f func(*Core)) {
+		f(fast.c)
+		f(ref.c)
+	}
+	var held []int
+	for step := 1; step <= 4000; step++ {
+		switch op := rng.Intn(20); {
+		case op < 9:
+			key := int64(step)
+			if rng.Intn(5) == 0 {
+				key = -key // jumps ahead of the queue
+			}
+			d, hold := shapes[rng.Intn(len(shapes))], holds[rng.Intn(len(holds))]
+			both(func(c *Core) { c.Submit(key, hold, d) })
+		case op < 14:
+			if run := ref.c.Running(); len(run) > 0 {
+				h := run[rng.Intn(len(run))]
+				if op < 13 {
+					both(func(c *Core) { c.Stop(h) })
+				} else {
+					both(func(c *Core) { c.Requeue(h) })
+				}
+			}
+		case op < 16:
+			if q := ref.c.Queued(); len(q) > 0 && (len(held) == 0 || rng.Intn(2) == 0) {
+				h := q[rng.Intn(len(q))]
+				both(func(c *Core) { c.Hold(h) })
+				held = append(held, h)
+			} else if len(held) > 0 {
+				h := held[0]
+				both(func(c *Core) { c.Unhold(h) })
+				held = held[1:]
+			}
+		case op < 17:
+			i, up := rng.Intn(len(sizes)), rng.Intn(3) > 0
+			both(func(c *Core) { c.SetUp(i, up) })
+		}
+		if got, want := fast.c.open(), scanOpen(fast.c); got != want {
+			t.Fatalf("step %d: open() = %v, a scan of the waiting jobs says %v", step, got, want)
+		}
+		both(func(c *Core) { c.Kick() })
+		dt := time.Duration(rng.Intn(3)) * 20 * time.Minute
+		fast.eng.RunUntil(fast.eng.Now() + dt)
+		ref.eng.RunUntil(ref.eng.Now() + dt)
+		if !slices.Equal(fast.log, ref.log) {
+			t.Fatalf("step %d: starts diverged from the reference pass\n got %v\nwant %v", step, fast.log, ref.log)
+		}
+		if fast.c.Census() != ref.c.Census() {
+			t.Fatalf("step %d: census %+v, reference %+v", step, fast.c.Census(), ref.c.Census())
+		}
+		if step%100 == 0 {
+			for _, tw := range []*twin{fast, ref} {
+				if err := tw.c.Rebuild(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+		}
+	}
+	if fast.passes < 1000 || len(fast.log) < 1000 {
+		t.Fatalf("only %d passes and %d log entries: the operations exercise little", fast.passes, len(fast.log))
+	}
+}
+
+// TestMemoAsksEligibleOncePerPass: behind a pivot, N candidates of one
+// shape that fit now but would hold their cores past the shadow time
+// and delay the pivot cost one eligibility check per pass, not N.
+func TestMemoAsksEligibleOncePerPass(t *testing.T) {
+	const n = 10
+	for _, reference := range []bool{false, true} {
+		eng := simtime.NewEngine()
+		backfill, calls := true, 0
+		c := New(eng, &backfill, func(h int) bool {
+			if h >= 2 {
+				calls++
+			}
+			return true
+		}, func(int, []Grant) {})
+		c.AddNode(4, true)
+		c.AddNode(4, true)
+		c.TryStart(c.Submit(0, time.Hour, Demand{Nodes: 1, PPN: 4})) // node 0 busy for 1h
+		c.Submit(1, time.Hour, Demand{Nodes: 2, PPN: 4})             // pivot, shadow 1h
+		for i := 0; i < n; i++ {
+			c.Submit(int64(2+i), 9*time.Hour, Demand{Nodes: 1, PPN: 1}) // fits on node 1, delays the pivot
+		}
+		if reference {
+			referencePass(c)
+		} else {
+			c.pass()
+		}
+		want := 1
+		if reference {
+			want = n
+		}
+		if calls != want || len(c.run) != 1 {
+			t.Fatalf("reference=%v: %d eligibility checks and %d running, want %d and 1", reference, calls, len(c.run), want)
+		}
+	}
+}
+
+// TestRebuildChecksShapeCensus: Rebuild re-derives the waiting count
+// per shape, reports a drift in it, and moves the generation so no
+// memo survives it.
+func TestRebuildChecksShapeCensus(t *testing.T) {
+	_, c, _ := newCore(true, 4)
+	c.Submit(0, time.Hour, Demand{Nodes: 1, PPN: 2})
+	c.Submit(1, time.Hour, Demand{Cores: 3})
+	gen := c.gen
+	if err := c.Rebuild(); err != nil || c.gen == gen {
+		t.Fatalf("Rebuild() = %v, generation %d → %d", err, gen, c.gen)
+	}
+	c.waitN[1]++
+	if err := c.Rebuild(); err == nil || err.Error() != "sched: census drifted" {
+		t.Fatalf("Rebuild() = %v after a per-shape count drifted", err)
+	}
+}
